@@ -38,7 +38,7 @@ Best min_cost_under(const core::Celia& celia, double demand,
   std::mutex mutex;
   Best best;
   core::for_each_configuration(
-      celia.space(), celia.capacity(),
+      celia.space(), celia.capacity(), celia.catalog(),
       [&](std::uint64_t index, double u, double hourly) {
         if (u <= 0) return;
         const double seconds = demand / u;

@@ -13,6 +13,7 @@
 #include "apps/registry.hpp"
 #include "cloud/provider.hpp"
 #include "core/celia.hpp"
+#include "core/query.hpp"
 #include "util/format.hpp"
 #include "util/table.hpp"
 
@@ -36,8 +37,9 @@ int main() {
   core::Constraints constraints;
   constraints.deadline_seconds = deadline_seconds;
 
-  const auto oracle = core::sweep(celia.space(), celia.capacity(),
-                                  true_demand, constraints, options);
+  const auto oracle = core::sweep(
+      celia.space(), celia.capacity(), celia.catalog(),
+      core::Query::make(true_demand, constraints, options));
 
   util::TablePrinter table({"demand error", "chosen config",
                             "believed cost", "true time (h)", "true cost",
@@ -46,8 +48,9 @@ int main() {
 
   for (const double delta : {-0.20, -0.10, -0.05, 0.0, 0.05, 0.10, 0.20}) {
     const double believed = true_demand * (1.0 + delta);
-    const auto result = core::sweep(celia.space(), celia.capacity(),
-                                    believed, constraints, options);
+    const auto result = core::sweep(
+        celia.space(), celia.capacity(), celia.catalog(),
+        core::Query::make(believed, constraints, options));
     if (!result.any_feasible) {
       table.add_row({util::format_percent(delta), "infeasible", "-", "-",
                      "-", "-", "-"});

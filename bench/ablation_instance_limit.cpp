@@ -11,6 +11,7 @@
 #include "apps/registry.hpp"
 #include "cloud/provider.hpp"
 #include "core/celia.hpp"
+#include "core/query.hpp"
 #include "util/format.hpp"
 #include "util/stopwatch.hpp"
 #include "util/table.hpp"
@@ -40,7 +41,8 @@ int main() {
     options.collect_pareto = false;
     util::Stopwatch watch;
     const core::SweepResult result =
-        core::sweep(space, base.capacity(), demand, constraints, options);
+        core::sweep(space, base.capacity(), base.catalog(),
+                    core::Query::make(demand, constraints, options));
     const double ms = watch.elapsed_ms();
     table.add_row(
         {std::to_string(limit), util::format_with_commas(result.total),

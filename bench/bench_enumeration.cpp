@@ -64,31 +64,38 @@ void BM_FullSweepFeasibility(benchmark::State& state) {
   SweepOptions options;
   options.collect_pareto = false;
   options.pool = &pool;
+  const Query query = Query::make(9e15, constraints, options);
   for (auto _ : state) {
     const SweepResult result =
-        sweep(space, capacity, 9e15, constraints, options);
+        sweep(space, capacity, celia::cloud::Catalog::ec2_table3(), query);
     benchmark::DoNotOptimize(result.feasible);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(space.size()));
 }
-BENCHMARK(BM_FullSweepFeasibility)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
+BENCHMARK(BM_FullSweepFeasibility)->Arg(1)->Arg(2)->Arg(4)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 
 void BM_FullSweepWithPareto(benchmark::State& state) {
   const auto space = ConfigurationSpace::ec2_default();
   const auto capacity = bench_capacity();
+  celia::parallel::ThreadPool pool(static_cast<std::size_t>(state.range(0)));
   Constraints constraints;
   constraints.deadline_seconds = 24 * 3600.0;
   constraints.budget_dollars = 350.0;
+  SweepOptions options;
+  options.pool = &pool;
+  const Query query = Query::make(9e15, constraints, options);
   for (auto _ : state) {
-    const SweepResult result = sweep(space, capacity, 9e15, constraints);
+    const SweepResult result =
+        sweep(space, capacity, celia::cloud::Catalog::ec2_table3(), query);
     benchmark::DoNotOptimize(result.pareto.size());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(space.size()));
 }
-BENCHMARK(BM_FullSweepWithPareto)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_FullSweepWithPareto)->Arg(1)->Arg(2)->Arg(4)
+    ->Unit(benchmark::kMillisecond)->UseRealTime();
 
 void BM_FullSweepCatalogScaling(benchmark::State& state) {
   const celia::cloud::Catalog catalog =

@@ -13,10 +13,12 @@
 #include "cloud/catalog.hpp"
 #include "core/enumerate.hpp"
 #include "core/frontier_index.hpp"
+#include "core/query.hpp"
 
 namespace {
 
 using namespace celia::core;
+using celia::cloud::Catalog;
 
 ResourceCapacity bench_capacity() {
   return ResourceCapacity(
@@ -63,19 +65,18 @@ Constraints bench_constraints() {
 void BM_IndexBuild(benchmark::State& state) {
   const auto space = ConfigurationSpace::ec2_default();
   const auto capacity = bench_capacity();
-  const std::vector<double> hourly = ec2_hourly_costs();
   celia::parallel::ThreadPool pool(static_cast<std::size_t>(state.range(0)));
   FrontierIndex::BuildOptions options;
   options.pool = &pool;
   for (auto _ : state) {
     const FrontierIndex index =
-        FrontierIndex::build(space, capacity, hourly, options);
+        FrontierIndex::build(space, capacity, Catalog::ec2_table3(), options);
     benchmark::DoNotOptimize(index.frontier().size());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(space.size()));
 }
-BENCHMARK(BM_IndexBuild)->Arg(1)->Arg(8)
+BENCHMARK(BM_IndexBuild)->Arg(1)->Arg(4)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 
 void BM_IndexBuildCatalogScaling(benchmark::State& state) {
@@ -104,10 +105,12 @@ void BM_IndexQueryCatalogScaling(benchmark::State& state) {
   const auto capacity = bench_capacity(catalog);
   const FrontierIndex index = FrontierIndex::build(space, capacity, catalog);
   const Constraints constraints = bench_constraints();
+  SweepOptions options;
+  options.collect_pareto = false;
   double demand = 9e15;
   for (auto _ : state) {
     const SweepResult result =
-        index.query(demand, constraints, /*collect_pareto=*/false);
+        index.query(Query::make(demand, constraints, options));
     benchmark::DoNotOptimize(result.feasible);
     demand += 1e9;
   }
@@ -120,13 +123,15 @@ BENCHMARK(BM_IndexQueryCatalogScaling)->Arg(9)->Arg(12)->Arg(15)
 void BM_IndexQueryFeasibility(benchmark::State& state) {
   const auto space = ConfigurationSpace::ec2_default();
   const auto capacity = bench_capacity();
-  const std::vector<double> hourly = ec2_hourly_costs();
-  const FrontierIndex index = FrontierIndex::build(space, capacity, hourly);
+  const FrontierIndex index =
+      FrontierIndex::build(space, capacity, Catalog::ec2_table3());
   const Constraints constraints = bench_constraints();
+  SweepOptions options;
+  options.collect_pareto = false;
   double demand = 9e15;
   for (auto _ : state) {
     const SweepResult result =
-        index.query(demand, constraints, /*collect_pareto=*/false);
+        index.query(Query::make(demand, constraints, options));
     benchmark::DoNotOptimize(result.feasible);
     demand += 1e9;  // vary the query so nothing is cached across iterations
   }
@@ -137,12 +142,12 @@ BENCHMARK(BM_IndexQueryFeasibility)->Unit(benchmark::kMicrosecond);
 void BM_IndexQueryPareto(benchmark::State& state) {
   const auto space = ConfigurationSpace::ec2_default();
   const auto capacity = bench_capacity();
-  const std::vector<double> hourly = ec2_hourly_costs();
-  const FrontierIndex index = FrontierIndex::build(space, capacity, hourly);
+  const FrontierIndex index =
+      FrontierIndex::build(space, capacity, Catalog::ec2_table3());
   const Constraints constraints = bench_constraints();
   double demand = 9e15;
   for (auto _ : state) {
-    const SweepResult result = index.query(demand, constraints);
+    const SweepResult result = index.query(Query::make(demand, constraints));
     benchmark::DoNotOptimize(result.pareto.size());
     demand += 1e9;
   }
@@ -151,24 +156,21 @@ void BM_IndexQueryPareto(benchmark::State& state) {
 BENCHMARK(BM_IndexQueryPareto)->Unit(benchmark::kMicrosecond);
 
 void BM_CachedIndexSweepFastPath(benchmark::State& state) {
-  // sweep() with IndexPolicy::Shared(): the API most callers hit. First call
-  // builds the shared index; steady state is the indexed query plus the
-  // cache lookup.
+  // sweep() with IndexPolicy::Prefer(&index): the cached route outside
+  // PlannerEngine. Steady state is the indexed query plus sweep()'s
+  // catalog and model checks.
   const auto space = ConfigurationSpace::ec2_default();
   const auto capacity = bench_capacity();
-  const std::vector<double> hourly = ec2_hourly_costs();
+  const Catalog& catalog = Catalog::ec2_table3();
+  const FrontierIndex index = FrontierIndex::build(space, capacity, catalog);
   const Constraints constraints = bench_constraints();
   SweepOptions options;
   options.collect_pareto = false;
-  options.index_policy = IndexPolicy::Shared();
-  // Warm the shared cache so the loop measures steady state, not the
-  // one-time build.
-  benchmark::DoNotOptimize(
-      sweep(space, capacity, hourly, 9e15, constraints, options).feasible);
+  options.index_policy = IndexPolicy::Prefer(&index);
   double demand = 9e15;
   for (auto _ : state) {
-    const SweepResult result =
-        sweep(space, capacity, hourly, demand, constraints, options);
+    const SweepResult result = sweep(space, capacity, catalog,
+                                     Query::make(demand, constraints, options));
     benchmark::DoNotOptimize(result.feasible);
     demand += 1e9;
   }
@@ -176,23 +178,27 @@ void BM_CachedIndexSweepFastPath(benchmark::State& state) {
 }
 BENCHMARK(BM_CachedIndexSweepFastPath)->Unit(benchmark::kMicrosecond);
 
-/// A deterministic price-churn trace: per-type multipliers in
-/// [0.97, 1.03] of the anchor prices (seeded LCG), the bounded oscillation
-/// a live spot/on-demand feed produces between structural catalog events.
-/// Every tick stays inside FrontierIndex's provable reprice band, so the
-/// delta path never refuses — the comparison below is pure rebuild-vs-
-/// rescale cost per tick.
-std::vector<std::vector<double>> churn_trace(std::span<const double> anchor,
-                                             std::size_t ticks) {
-  std::vector<std::vector<double>> trace(ticks);
+/// A deterministic price-churn trace of Table III repricings: per-type
+/// multipliers in [0.97, 1.03] of the anchor prices (seeded LCG), the
+/// bounded oscillation a live spot/on-demand feed produces between
+/// structural catalog events. Every tick stays inside FrontierIndex's
+/// provable reprice band, so the delta path never refuses — the
+/// comparison below is pure rebuild-vs-rescale cost per tick.
+std::vector<Catalog> churn_trace(std::size_t ticks) {
+  const Catalog& anchor = Catalog::ec2_table3();
+  std::vector<Catalog> trace;
+  trace.reserve(ticks);
   std::uint64_t lcg = 0x5DEECE66DULL;
-  for (auto& hourly : trace) {
-    hourly.assign(anchor.begin(), anchor.end());
+  for (std::size_t tick = 0; tick < ticks; ++tick) {
+    std::vector<double> hourly(anchor.hourly_costs().begin(),
+                               anchor.hourly_costs().end());
     for (double& price : hourly) {
       lcg = lcg * 6364136223846793005ULL + 1442695040888963407ULL;
       const double unit = static_cast<double>(lcg >> 11) * 0x1.0p-53;
       price *= 0.97 + 0.06 * unit;
     }
+    trace.push_back(anchor.repriced("churn-" + std::to_string(tick),
+                                    anchor.region(), std::move(hourly)));
   }
   return trace;
 }
@@ -202,7 +208,7 @@ void BM_PriceChurnFullRebuild(benchmark::State& state) {
   // the 10M-point space to refresh the index.
   const auto space = ConfigurationSpace::ec2_default();
   const auto capacity = bench_capacity();
-  const auto trace = churn_trace(ec2_hourly_costs(), 64);
+  const auto trace = churn_trace(64);
   std::size_t tick = 0;
   for (auto _ : state) {
     const FrontierIndex rebuilt =
@@ -221,13 +227,12 @@ void BM_PriceChurnDeltaRescale(benchmark::State& state) {
   // The acceptance bar is >= 10x cheaper per tick than the rebuild above.
   const auto space = ConfigurationSpace::ec2_default();
   const auto capacity = bench_capacity();
-  const std::vector<double> hourly = ec2_hourly_costs();
-  const FrontierIndex anchor = FrontierIndex::build(space, capacity, hourly);
-  const auto trace = churn_trace(hourly, 64);
+  const FrontierIndex anchor =
+      FrontierIndex::build(space, capacity, Catalog::ec2_table3());
+  const auto trace = churn_trace(64);
   std::size_t tick = 0;
   for (auto _ : state) {
-    const auto delta =
-        anchor.repriced(std::span<const double>(trace[tick % trace.size()]));
+    const auto delta = anchor.repriced(trace[tick % trace.size()]);
     if (!delta.has_value()) {
       state.SkipWithError("reprice delta refused an in-band tick");
       break;
@@ -245,7 +250,6 @@ void BM_FullSweepBaseline(benchmark::State& state) {
   // binary latency ratio against BM_IndexQueryFeasibility.
   const auto space = ConfigurationSpace::ec2_default();
   const auto capacity = bench_capacity();
-  const std::vector<double> hourly = ec2_hourly_costs();
   celia::parallel::ThreadPool pool(1);
   const Constraints constraints = bench_constraints();
   SweepOptions options;
@@ -254,7 +258,8 @@ void BM_FullSweepBaseline(benchmark::State& state) {
   double demand = 9e15;
   for (auto _ : state) {
     const SweepResult result =
-        sweep(space, capacity, hourly, demand, constraints, options);
+        sweep(space, capacity, Catalog::ec2_table3(),
+              Query::make(demand, constraints, options));
     benchmark::DoNotOptimize(result.feasible);
     demand += 1e9;
   }

@@ -31,14 +31,14 @@ constexpr int kMaxRounds = 3;
 
 double min_sweep_seconds(const core::ConfigurationSpace& space,
                          const core::ResourceCapacity& capacity,
-                         const std::vector<double>& hourly,
+                         const cloud::Catalog& catalog,
                          const core::Query& query, bool metrics_on,
                          int reps) {
   double best = 1e300;
   for (int rep = 0; rep < reps; ++rep) {
     obs::set_metrics_enabled(metrics_on);
     util::Stopwatch watch;
-    const core::SweepResult result = core::sweep(space, capacity, hourly,
+    const core::SweepResult result = core::sweep(space, capacity, catalog,
                                                  query);
     const double elapsed = watch.elapsed_seconds();
     obs::set_metrics_enabled(true);
@@ -60,10 +60,9 @@ int main() {
   // small enough to keep the whole bench in seconds.
   std::vector<int> max_counts(cloud::catalog_size(), 4);
   const core::ConfigurationSpace space(max_counts);
+  const cloud::Catalog& catalog = cloud::Catalog::ec2_table3();
   const core::ResourceCapacity capacity(
-      std::vector<double>(cloud::catalog_size(), 1.2e9),
-      cloud::Catalog::ec2_table3());
-  const std::vector<double> hourly = core::ec2_hourly_costs();
+      std::vector<double>(cloud::catalog_size(), 1.2e9), catalog);
 
   core::Constraints constraints;
   constraints.deadline_seconds = 3600.0;
@@ -76,7 +75,7 @@ int main() {
               kMaxOverhead * 100.0);
 
   // Warm up: thread pool spin-up, metric/site registration, page faults.
-  min_sweep_seconds(space, capacity, hourly, query, true, 1);
+  min_sweep_seconds(space, capacity, catalog, query, true, 1);
 
   celia::benchio::JsonBench json("obs_overhead");
   bool passed = false;
@@ -85,9 +84,9 @@ int main() {
     double best_on = 1e300, best_off = 1e300;
     for (int rep = 0; rep < kRepsPerRound; ++rep) {
       const double on =
-          min_sweep_seconds(space, capacity, hourly, query, true, 1);
+          min_sweep_seconds(space, capacity, catalog, query, true, 1);
       const double off =
-          min_sweep_seconds(space, capacity, hourly, query, false, 1);
+          min_sweep_seconds(space, capacity, catalog, query, false, 1);
       if (on < best_on) best_on = on;
       if (off < best_off) best_off = off;
     }

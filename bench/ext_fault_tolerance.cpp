@@ -123,10 +123,12 @@ int main() {
     spec.checkpoint_interval_seconds = 600.0;
     spec.checkpoint_write_seconds = 10.0;
 
-    const auto fail_never = core::reliable_min_cost(
-        space, capacity, demand, kPlanDeadline, core::ReliabilitySpec{});
-    const auto aware =
-        core::reliable_min_cost(space, capacity, demand, kPlanDeadline, spec);
+    const cloud::Catalog& catalog = cloud::Catalog::ec2_table3();
+    const auto fail_never =
+        core::reliable_min_cost(space, capacity, catalog, demand,
+                                kPlanDeadline, core::ReliabilitySpec{});
+    const auto aware = core::reliable_min_cost(space, capacity, catalog,
+                                               demand, kPlanDeadline, spec);
     if (!fail_never || !aware) {
       std::cout << "MTBF " << mtbf << ": no feasible configuration\n";
       continue;

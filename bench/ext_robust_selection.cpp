@@ -100,8 +100,9 @@ int main() {
 
   double base_cost = 0.0;
   for (const Case& c : cases) {
-    const auto plan = core::robust_min_cost(
-        celia.space(), celia.capacity(), demand, kDeadline * 3600.0, c.spec);
+    const auto plan =
+        core::robust_min_cost(celia.space(), celia.capacity(), celia.catalog(),
+                              demand, kDeadline * 3600.0, c.spec);
     if (!plan) {
       table.add_row({c.name, "infeasible", "-", "-", "-", "-"});
       continue;

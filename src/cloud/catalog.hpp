@@ -22,8 +22,9 @@
 //     campaign serves every region.
 //
 //   * fingerprint() additionally covers prices and the (name, region)
-//     identity. The shared FrontierIndex cache and PlannerEngine key on
-//     it, so two distinct catalogs can never alias one cached staircase.
+//     identity. Every FrontierIndex is pinned to it and PlannerEngine's
+//     index cache keys on it, so two distinct catalogs can never alias one
+//     cached staircase.
 //
 // Catalog::ec2_table3() is the paper's Table III (uniform limit 5) and
 // reproduces the historical global-catalog behavior bit-identically.

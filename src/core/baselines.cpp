@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "core/query.hpp"
 #include "core/time_cost.hpp"
 #include "util/rng.hpp"
 
@@ -39,7 +40,8 @@ SearchOutcome exhaustive_search(const ConfigurationSpace& space,
   SweepOptions options;
   options.collect_pareto = false;
   const SweepResult result =
-      sweep(space, capacity, demand, constraints, options);
+      sweep(space, capacity, cloud::Catalog::ec2_table3(),
+            Query::make(demand, constraints, options));
   SearchOutcome outcome;
   outcome.evaluations = result.total;
   outcome.found = result.any_feasible;

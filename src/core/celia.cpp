@@ -53,8 +53,6 @@ Celia::Celia(std::string app_name, hw::WorkloadClass workload,
     throw std::invalid_argument(
         "Celia: capacity was characterized against a structurally different "
         "catalog than '" + catalog_->name() + "'");
-  const auto hourly = catalog_->hourly_costs();
-  hourly_costs_.assign(hourly.begin(), hourly.end());
 }
 
 Prediction Celia::predict(const apps::AppParams& params,

@@ -12,7 +12,6 @@
 
 #include <memory>
 #include <optional>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -78,15 +77,13 @@ class Celia {
   /// Cheapest feasible configuration within the deadline (unbounded
   /// budget); nullopt when no configuration meets the deadline. The
   /// options give full sweep control — e.g. set `index_policy =
-  /// IndexPolicy::Shared()` to answer repeated deadline ladders from the
-  /// shared FrontierIndex, or `pool` to pick the thread pool.
+  /// IndexPolicy::Prefer(&index)` with a FrontierIndex built for this
+  /// model's (space, capacity, catalog) to answer repeated deadline
+  /// ladders in microseconds, or `pool` to pick the thread pool.
   /// collect_pareto is forced off.
   std::optional<CostTimePoint> min_cost_configuration(
       const apps::AppParams& params, double deadline_hours,
       SweepOptions options = {}) const;
-
-  /// Per-hour price of one instance of each type, indexed like the space.
-  std::span<const double> hourly_costs() const { return hourly_costs_; }
 
  private:
   std::string app_name_;
@@ -95,7 +92,6 @@ class Celia {
   ResourceCapacity capacity_;
   ConfigurationSpace space_;
   std::shared_ptr<const cloud::Catalog> catalog_;
-  std::vector<double> hourly_costs_;
 };
 
 }  // namespace celia::core

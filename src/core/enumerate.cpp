@@ -8,7 +8,6 @@
 #include <mutex>
 #include <string>
 
-#include "cloud/instance_type.hpp"
 #include "core/frontier_index.hpp"
 #include "core/query.hpp"
 #include "core/simd.hpp"
@@ -37,6 +36,9 @@ struct PartialResult {
       min_cost = min_time = point;
       any = true;
     } else {
+      // Points reach a block in ascending config_index, so keeping the
+      // first of an exact (cost, seconds) tie already applies cheaper() and
+      // faster()'s lowest-index rule; the per-point path skips that compare.
       if (point.cost < min_cost.cost ||
           (point.cost == min_cost.cost && point.seconds < min_cost.seconds))
         min_cost = point;
@@ -67,8 +69,8 @@ struct ClassifyScratch {
 };
 
 /// Visit the set bits of `mask` in ascending position order. Feasible hits
-/// must be consumed in index order — min-cost/min-time tie-breaks, the
-/// sample stride and the Pareto buffer all observe the arrival sequence.
+/// must be consumed in index order — min-cost/min-time tie-breaks within a
+/// block and the sample stride observe the arrival sequence.
 template <typename OnFeasible>
 void for_each_set_bit(const std::uint64_t* mask, std::size_t n,
                       OnFeasible&& fn) {
@@ -88,18 +90,6 @@ std::vector<double> capacity_rates(const ResourceCapacity& capacity) {
   return rates;
 }
 
-/// The FrontierIndex answers only the deterministic, unsampled, SCALAR
-/// form of the query; everything else takes the sweep path. (The staircase
-/// is demand-invariant only in 1-D: with several dimensions the set of
-/// frontier configurations depends on the demand mix's direction.)
-bool index_can_answer(const Constraints& constraints,
-                      const SweepOptions& options,
-                      std::size_t num_dimensions) {
-  const bool risk_aware =
-      constraints.confidence_z > 0 && constraints.rate_sigma > 0;
-  return !risk_aware && options.sample_stride == 0 && num_dimensions == 1;
-}
-
 struct RouteCounters {
   obs::Counter& sweep = obs::counter(
       "celia_planner_route_sweep_total",
@@ -107,9 +97,6 @@ struct RouteCounters {
   obs::Counter& index = obs::counter(
       "celia_planner_route_index_total",
       "Planner queries answered by a caller-provided FrontierIndex");
-  obs::Counter& shared = obs::counter(
-      "celia_planner_route_shared_index_total",
-      "Planner queries answered by the process-wide shared FrontierIndex");
   obs::Counter& fallback = obs::counter(
       "celia_planner_route_fallback_total",
       "Planner queries that requested an index but were ineligible "
@@ -172,23 +159,14 @@ void validate_query(const apps::DemandVector& demand,
              : " (" + std::to_string(demand.size()) + " dimensions)"));
 }
 
-std::vector<double> ec2_hourly_costs() {
-  std::vector<double> hourly;
-  for (const auto& type : cloud::ec2_catalog())
-    hourly.push_back(type.cost_per_hour);
-  return hourly;
-}
-
-namespace {
-
-/// Shared implementation behind the span- and catalog-based sweep entry
-/// points; `catalog` is null for the span path (hourly costs stand alone)
-/// and non-null when the caller planned against a first-class catalog, in
-/// which case the shared-index route consults the catalog-pinned cache.
-SweepResult sweep_impl(const ConfigurationSpace& space,
-                       const ResourceCapacity& capacity,
-                       std::span<const double> hourly_costs,
-                       const cloud::Catalog* catalog, const Query& query) {
+SweepResult sweep(const ConfigurationSpace& space,
+                  const ResourceCapacity& capacity,
+                  const cloud::Catalog& catalog, const Query& query) {
+  if (!capacity.compatible_with(catalog))
+    throw std::invalid_argument(
+        "sweep: capacity was characterized against a structurally different "
+        "catalog than '" + catalog.name() + "'");
+  const std::span<const double> hourly_costs = catalog.hourly_costs();
   detail::validate_model_widths(space, capacity, hourly_costs, "sweep");
   detail::validate_demand_dimensions(capacity, query.num_dimensions(),
                                      "sweep");
@@ -200,33 +178,19 @@ SweepResult sweep_impl(const ConfigurationSpace& space,
 
   QueryRoute route = QueryRoute::kSweep;
   if (policy.mode != IndexPolicy::Mode::kNever) {
-    if (policy.mode == IndexPolicy::Mode::kPrefer && policy.index == nullptr)
+    if (policy.index == nullptr)
       throw std::invalid_argument(
           "sweep: IndexPolicy::Prefer requires a non-null FrontierIndex");
-    if (index_can_answer(constraints, options, query.num_dimensions())) {
-      if (policy.mode == IndexPolicy::Mode::kPrefer) {
-        if (catalog && policy.index->catalog_fingerprint() != 0 &&
-            policy.index->catalog_fingerprint() != catalog->fingerprint())
-          throw std::invalid_argument(
-              "sweep: FrontierIndex is pinned to a different catalog than '" +
-              catalog->name() + "'");
-        if (!policy.index->matches(space, capacity, hourly_costs))
-          throw std::invalid_argument(
-              "sweep: FrontierIndex was built for a different model");
-        route_counters().index.add(1);
-        SweepResult result = policy.index->query(query);
-        result.route = QueryRoute::kIndex;
-        return result;
-      }
-      route_counters().shared.add(1);
-      SweepResult result =
-          (catalog
-               ? shared_frontier_index(space, capacity, *catalog, options.pool)
-               : shared_frontier_index(space, capacity, hourly_costs,
-                                       options.pool))
-              ->query(query);
-      result.route = QueryRoute::kSharedIndex;
-      return result;
+    if (query.index_eligible()) {
+      if (policy.index->catalog_fingerprint() != catalog.fingerprint())
+        throw std::invalid_argument(
+            "sweep: FrontierIndex is pinned to a different catalog than '" +
+            catalog.name() + "'");
+      if (!policy.index->matches(space, capacity, catalog))
+        throw std::invalid_argument(
+            "sweep: FrontierIndex was built for a different model");
+      route_counters().index.add(1);
+      return policy.index->query(query);
     }
     // Index requested but this query needs the sweep (risk-aware,
     // sampled, or multi-dimensional): fall back, visibly.
@@ -370,13 +334,11 @@ SweepResult sweep_impl(const ConfigurationSpace& space,
             result.min_time = partial.min_time;
             result.any_feasible = true;
           } else {
-            if (partial.min_cost.cost < result.min_cost.cost ||
-                (partial.min_cost.cost == result.min_cost.cost &&
-                 partial.min_cost.seconds < result.min_cost.seconds))
+            // Blocks arrive in any order; the total order makes the merged
+            // winner independent of it.
+            if (cheaper(partial.min_cost, result.min_cost))
               result.min_cost = partial.min_cost;
-            if (partial.min_time.seconds < result.min_time.seconds ||
-                (partial.min_time.seconds == result.min_time.seconds &&
-                 partial.min_time.cost < result.min_time.cost))
+            if (faster(partial.min_time, result.min_time))
               result.min_time = partial.min_time;
           }
         }
@@ -393,54 +355,6 @@ SweepResult sweep_impl(const ConfigurationSpace& space,
     result.pareto = pareto_filter(std::move(merged_pareto));
   sweep_seconds.record(sweep_timer.elapsed_seconds());
   return result;
-}
-
-}  // namespace
-
-SweepResult sweep(const ConfigurationSpace& space,
-                  const ResourceCapacity& capacity,
-                  std::span<const double> hourly_costs, const Query& query) {
-  return sweep_impl(space, capacity, hourly_costs, nullptr, query);
-}
-
-SweepResult sweep(const ConfigurationSpace& space,
-                  const ResourceCapacity& capacity,
-                  const cloud::Catalog& catalog, const Query& query) {
-  if (!capacity.compatible_with(catalog))
-    throw std::invalid_argument(
-        "sweep: capacity was characterized against a structurally different "
-        "catalog than '" + catalog.name() + "'");
-  return sweep_impl(space, capacity, catalog.hourly_costs(), &catalog, query);
-}
-
-SweepResult sweep(const ConfigurationSpace& space,
-                  const ResourceCapacity& capacity, const Query& query) {
-  const std::vector<double> hourly = ec2_hourly_costs();
-  return sweep(space, capacity, hourly, query);
-}
-
-SweepResult sweep(const ConfigurationSpace& space,
-                  const ResourceCapacity& capacity,
-                  std::span<const double> hourly_costs, double demand,
-                  const Constraints& constraints, SweepOptions options) {
-  return sweep(space, capacity, hourly_costs,
-               Query::make(demand, constraints, options));
-}
-
-SweepResult sweep(const ConfigurationSpace& space,
-                  const ResourceCapacity& capacity,
-                  const cloud::Catalog& catalog, double demand,
-                  const Constraints& constraints, SweepOptions options) {
-  return sweep(space, capacity, catalog,
-               Query::make(demand, constraints, options));
-}
-
-SweepResult sweep(const ConfigurationSpace& space,
-                  const ResourceCapacity& capacity, double demand,
-                  const Constraints& constraints, SweepOptions options) {
-  const std::vector<double> hourly = ec2_hourly_costs();
-  return sweep(space, capacity, hourly,
-               Query::make(demand, constraints, options));
 }
 
 namespace detail {
@@ -471,13 +385,5 @@ void validate_demand_dimensions(const ResourceCapacity& capacity,
 }
 
 }  // namespace detail
-
-void for_each_configuration(
-    const ConfigurationSpace& space, const ResourceCapacity& capacity,
-    const std::function<void(std::uint64_t, double, double)>& visit,
-    parallel::ThreadPool* pool) {
-  const std::vector<double> hourly = ec2_hourly_costs();
-  for_each_configuration(space, capacity, hourly, visit, pool);
-}
 
 }  // namespace celia::core

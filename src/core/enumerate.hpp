@@ -15,21 +15,22 @@
 // end — the classic map-reduce shape of an HPC parameter sweep.
 //
 // Deterministic queries (confidence_z == 0, no sampling) can skip the
-// sweep entirely via the demand-invariant FrontierIndex — see
-// core/frontier_index.hpp and SweepOptions::index_policy. The route the
-// planner actually took (sweep, index, shared index, or an observable
-// fallback) is reported in SweepResult::route and counted in the obs
-// metrics registry.
+// sweep entirely via a caller-built FrontierIndex passed through
+// IndexPolicy::Prefer — see core/frontier_index.hpp. PlannerEngine owns
+// the only index cache. The route the planner actually took (sweep,
+// index, or an observable fallback) is reported in SweepResult::route and
+// counted in the obs metrics registry.
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <string_view>
 #include <vector>
 
+#include "cloud/catalog.hpp"
 #include "core/capacity.hpp"
 #include "core/configuration.hpp"
 #include "core/pareto.hpp"
@@ -62,8 +63,9 @@ struct Constraints {
 };
 
 /// Shared entry-point validation: every planner query route — sweep(),
-/// FrontierIndex::query(), recommend(), Celia::min_cost_configuration —
-/// funnels through this so they reject malformed input identically.
+/// FrontierIndex::query(), PlannerEngine::plan, Celia::select — funnels
+/// through this (via Query::make) so they reject malformed input
+/// identically.
 /// Throws std::invalid_argument when demand is non-positive or non-finite,
 /// when the deadline or budget is NaN or negative (infinity = "no
 /// constraint" and 0 are both allowed: 0 simply admits nothing), or when
@@ -85,40 +87,34 @@ void validate_query(const apps::DemandVector& demand,
 
 /// How the planner may use the demand-invariant FrontierIndex.
 ///
-/// Only deterministic SCALAR queries are index-eligible (confidence_z ==
-/// 0, sample_stride == 0, one demand dimension — the staircase is
-/// demand-invariant only in 1-D; with several dimensions feasibility
-/// depends on the demand mix's direction, not just its magnitude). When
-/// Prefer/Shared is requested for an ineligible query the planner runs the
-/// full sweep instead — and that fallback is OBSERVABLE:
-/// SweepResult::route == kSweepFallback and the
-/// celia_planner_route_fallback_total counter is bumped, never silent.
+/// Only Query::index_eligible() queries can be answered from an index
+/// (deterministic, unsampled, one demand dimension). When Prefer is
+/// requested for an ineligible query the planner runs the full sweep
+/// instead — and that fallback is OBSERVABLE: SweepResult::route ==
+/// kSweepFallback and the celia_planner_route_fallback_total counter is
+/// bumped, never silent.
 struct IndexPolicy {
   enum class Mode {
     kNever,   // always run the full sweep
     kPrefer,  // answer from the given prebuilt index when eligible
-    kShared,  // answer from the process-wide shared index (built on first
-              // use) when eligible — see core::shared_frontier_index()
   };
 
   Mode mode = Mode::kNever;
   /// kPrefer only: must be non-null and built for the same (space,
-  /// capacity, hourly costs) — sweep() throws otherwise.
+  /// capacity, catalog) — sweep() throws otherwise.
   const FrontierIndex* index = nullptr;
 
   static IndexPolicy Never() { return {}; }
   static IndexPolicy Prefer(const FrontierIndex* prebuilt) {
     return {Mode::kPrefer, prebuilt};
   }
-  static IndexPolicy Shared() { return {Mode::kShared, nullptr}; }
 };
 
 /// The path a planner query actually took (recorded in SweepResult::route
 /// and mirrored by the celia_planner_route_*_total counters).
 enum class QueryRoute {
   kSweep,          // full sweep, index never requested
-  kIndex,          // answered by a caller-provided FrontierIndex
-  kSharedIndex,    // answered by the process-wide shared index
+  kIndex,          // answered by a FrontierIndex (caller's or the engine's)
   kSweepFallback,  // index requested but query ineligible -> full sweep
   kDegradedSweep,  // PlannerEngine deadline too tight to build an index ->
                    // answered by a fresh full sweep instead
@@ -154,8 +150,8 @@ struct SweepResult {
 
 namespace detail {
 
-/// Shared width validation for every enumeration entry point (sweep, both
-/// for_each_configuration overloads, FrontierIndex::build): throws
+/// Shared width validation for every enumeration entry point (sweep,
+/// for_each_configuration, FrontierIndex::build): throws
 /// std::invalid_argument naming `who` when the space, capacity or hourly
 /// cost vector disagree on the number of instance types.
 void validate_model_widths(const ConfigurationSpace& space,
@@ -228,60 +224,31 @@ void walk_range_multi(const ConfigurationSpace& space,
 }  // namespace detail
 
 /// Evaluate a validated Query against every configuration; Algorithm 1
-/// plus the Pareto filter of §III-D. This is THE planner implementation —
-/// the (demand, constraints) overloads below and every higher-level entry
-/// point (recommend, Celia) forward here through Query::make, so input
-/// validation runs exactly once per query. `hourly_costs[i]` is the
-/// per-hour price of one instance of type i.
-SweepResult sweep(const ConfigurationSpace& space,
-                  const ResourceCapacity& capacity,
-                  std::span<const double> hourly_costs, const Query& query);
-
-/// Catalog-aware planner entry: prices come from `catalog.hourly_costs()`
-/// and the IndexPolicy::Shared route consults the catalog-pinned cache
-/// (keyed by `catalog.fingerprint()`), so queries against two catalogs can
-/// never be answered from each other's staircase. Throws
-/// std::invalid_argument when `capacity` was characterized against a
-/// structurally different catalog, or when a Prefer index is pinned to a
-/// different catalog.
+/// plus the Pareto filter of §III-D. This is THE planner implementation:
+/// every higher-level entry point (Celia, PlannerEngine, the region
+/// planner) forwards here with a Query built by Query::make, so input
+/// validation runs exactly once per query. Prices come from
+/// `catalog.hourly_costs()`. Throws std::invalid_argument when `capacity`
+/// was characterized against a structurally different catalog, or when a
+/// Prefer index was built for a different (space, capacity, catalog).
 SweepResult sweep(const ConfigurationSpace& space,
                   const ResourceCapacity& capacity,
                   const cloud::Catalog& catalog, const Query& query);
 
-/// Convenience overload pricing with the EC2 catalog (paper Table III).
-SweepResult sweep(const ConfigurationSpace& space,
-                  const ResourceCapacity& capacity, const Query& query);
-
-/// Forwarding overload: validates via Query::make and runs the Query.
-SweepResult sweep(const ConfigurationSpace& space,
-                  const ResourceCapacity& capacity,
-                  std::span<const double> hourly_costs, double demand,
-                  const Constraints& constraints, SweepOptions options = {});
-
-/// Catalog-aware forwarding overload (see the Query overload above).
-SweepResult sweep(const ConfigurationSpace& space,
-                  const ResourceCapacity& capacity,
-                  const cloud::Catalog& catalog, double demand,
-                  const Constraints& constraints, SweepOptions options = {});
-
-/// Convenience overload pricing with the EC2 catalog (paper Table III).
-SweepResult sweep(const ConfigurationSpace& space,
-                  const ResourceCapacity& capacity, double demand,
-                  const Constraints& constraints, SweepOptions options = {});
-
-/// Hourly costs of the EC2 catalog (paper Table III), indexed by type.
-std::vector<double> ec2_hourly_costs();
-
 /// Streaming variant: `visit(index, capacity_U, hourly_cost)` is called for
-/// every configuration from worker threads (must be thread-safe). Useful
-/// for custom reductions. The visitor is invoked directly (no type
-/// erasure), so it inlines into the enumeration loop.
+/// every configuration from worker threads (must be thread-safe), priced
+/// with `catalog`. Useful for custom reductions. The visitor is invoked
+/// directly (no type erasure), so it inlines into the enumeration loop.
 template <typename Visit>
 void for_each_configuration(const ConfigurationSpace& space,
                             const ResourceCapacity& capacity,
-                            std::span<const double> hourly_costs,
-                            Visit&& visit,
+                            const cloud::Catalog& catalog, Visit&& visit,
                             parallel::ThreadPool* pool = nullptr) {
+  if (!capacity.compatible_with(catalog))
+    throw std::invalid_argument(
+        "for_each_configuration: capacity was characterized against a "
+        "structurally different catalog than '" + catalog.name() + "'");
+  const std::span<const double> hourly_costs = catalog.hourly_costs();
   detail::validate_model_widths(space, capacity, hourly_costs,
                                 "for_each_configuration");
   // One registry lookup per process (static locals), relaxed adds per
@@ -315,11 +282,5 @@ void for_each_configuration(const ConfigurationSpace& space,
       },
       for_options);
 }
-
-/// Type-erased overload pricing with the EC2 catalog (paper Table III).
-void for_each_configuration(
-    const ConfigurationSpace& space, const ResourceCapacity& capacity,
-    const std::function<void(std::uint64_t, double, double)>& visit,
-    parallel::ThreadPool* pool = nullptr);
 
 }  // namespace celia::core

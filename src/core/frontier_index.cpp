@@ -5,7 +5,6 @@
 #include <cmath>
 #include <future>
 #include <limits>
-#include <mutex>
 #include <stdexcept>
 
 #include "core/query.hpp"
@@ -267,8 +266,13 @@ void FrontierIndex::GridStore::select_candidates(
 
 FrontierIndex FrontierIndex::build(const ConfigurationSpace& space,
                                    const ResourceCapacity& capacity,
-                                   std::span<const double> hourly_costs,
+                                   const cloud::Catalog& catalog,
                                    const BuildOptions& options) {
+  if (!capacity.compatible_with(catalog))
+    throw std::invalid_argument(
+        "FrontierIndex: capacity was characterized against a structurally "
+        "different catalog than '" + catalog.name() + "'");
+  const std::span<const double> hourly_costs = catalog.hourly_costs();
   detail::validate_model_widths(space, capacity, hourly_costs,
                                 "FrontierIndex");
   // The staircase is demand-invariant only for scalar demand: with
@@ -296,6 +300,7 @@ FrontierIndex FrontierIndex::build(const ConfigurationSpace& space,
   for (std::size_t i = 0; i < capacity.num_types(); ++i)
     index.rates_.push_back(capacity.rate(i));
   index.hourly_.assign(hourly_costs.begin(), hourly_costs.end());
+  index.catalog_fingerprint_ = catalog.fingerprint();
   index.total_ = space.size();
 
   const std::vector<double>& rates = index.rates_;
@@ -481,26 +486,6 @@ FrontierIndex FrontierIndex::build(const ConfigurationSpace& space,
   return index;
 }
 
-FrontierIndex FrontierIndex::build(const ConfigurationSpace& space,
-                                   const ResourceCapacity& capacity,
-                                   const cloud::Catalog& catalog,
-                                   const BuildOptions& options) {
-  if (!capacity.compatible_with(catalog))
-    throw std::invalid_argument(
-        "FrontierIndex: capacity was characterized against a structurally "
-        "different catalog than '" + catalog.name() + "'");
-  FrontierIndex index = build(space, capacity, catalog.hourly_costs(), options);
-  index.catalog_fingerprint_ = catalog.fingerprint();
-  return index;
-}
-
-FrontierIndex FrontierIndex::build(const ConfigurationSpace& space,
-                                   const ResourceCapacity& capacity,
-                                   const BuildOptions& options) {
-  const std::vector<double> hourly = ec2_hourly_costs();
-  return build(space, capacity, hourly, options);
-}
-
 // --- Delta maintenance -----------------------------------------------------
 
 std::uint64_t FrontierIndex::content_fingerprint() const {
@@ -529,21 +514,20 @@ bool FrontierIndex::delta_capable() const {
 bool FrontierIndex::is_repriced() const { return repriced_; }
 
 std::optional<FrontierIndex> FrontierIndex::repriced(
-    std::span<const double> new_hourly) const {
+    const cloud::Catalog& to) const {
   if (!delta_capable()) return std::nullopt;
   const std::size_t width = hourly_.size();
-  if (new_hourly.size() != width || width == 0) return std::nullopt;
+  if (to.size() != width || to.limits() != max_counts_) return std::nullopt;
+  const std::span<const double> new_hourly = to.hourly_costs();
 
   // Per-type price ratios are taken against the ANCHOR prices (the ones
   // pu_cu / candidates were folded with), not this index's own — chains of
-  // reprices re-derive from the anchor instead of compounding bands.
+  // reprices re-derive from the anchor instead of compounding bands. Both
+  // price vectors come from catalogs, so every price is finite and > 0.
   const std::vector<double>& anchor = store_->anchor_hourly;
   double lo = kInf, hi = 0.0;
   for (std::size_t i = 0; i < width; ++i) {
-    const double from = anchor[i];
-    const double to = new_hourly[i];
-    if (!(from > 0) || !(to > 0) || !std::isfinite(to)) return std::nullopt;
-    const double ratio = to / from;
+    const double ratio = new_hourly[i] / anchor[i];
     lo = std::min(lo, ratio);
     hi = std::max(hi, ratio);
   }
@@ -579,6 +563,7 @@ std::optional<FrontierIndex> FrontierIndex::repriced(
   out.max_counts_ = max_counts_;
   out.rates_ = rates_;
   out.hourly_.assign(new_hourly.begin(), new_hourly.end());
+  out.catalog_fingerprint_ = to.fingerprint();
   out.total_ = total_;
   out.positive_ = positive_;
   out.grid_ = grid_;
@@ -590,20 +575,19 @@ std::optional<FrontierIndex> FrontierIndex::repriced(
   return out;
 }
 
-std::optional<FrontierIndex> FrontierIndex::repriced(
-    const cloud::Catalog& to) const {
-  if (to.size() != hourly_.size()) return std::nullopt;
-  if (to.limits() != max_counts_) return std::nullopt;
-  std::optional<FrontierIndex> out = repriced(to.hourly_costs());
-  if (out) out->catalog_fingerprint_ = to.fingerprint();
-  return out;
-}
-
-std::optional<FrontierIndex> FrontierIndex::with_limit(std::size_t type,
-                                                       int new_max) const {
+std::optional<FrontierIndex> FrontierIndex::with_limit(
+    std::size_t type, int new_max, const cloud::Catalog& to) const {
   if (repriced_ || !delta_capable()) return std::nullopt;
   const std::size_t width = max_counts_.size();
-  if (type >= width) return std::nullopt;
+  if (to.size() != width || type >= width) return std::nullopt;
+  const std::span<const double> to_hourly = to.hourly_costs();
+  for (std::size_t i = 0; i < width; ++i)
+    if (to_hourly[i] != hourly_[i]) return std::nullopt;
+  const std::vector<int>& to_limits = to.limits();
+  for (std::size_t i = 0; i < width; ++i) {
+    const int expected = i == type ? new_max : max_counts_[i];
+    if (to_limits[i] != expected) return std::nullopt;
+  }
   const int old_max = max_counts_[type];
   if (new_max < 0 || new_max >= old_max) return std::nullopt;
 
@@ -688,6 +672,7 @@ std::optional<FrontierIndex> FrontierIndex::with_limit(std::size_t type,
   out.max_counts_[type] = new_max;
   out.rates_ = rates_;
   out.hourly_ = hourly_;
+  out.catalog_fingerprint_ = to.fingerprint();
   out.total_ = (total_ + 1) / radix_old * radix_new - 1;
   out.positive_ = next->pu_u.size();
   out.grid_ = grid;
@@ -695,23 +680,6 @@ std::optional<FrontierIndex> FrontierIndex::with_limit(std::size_t type,
   // The result is a fresh anchor: reselect W so further deltas chain.
   next->select_candidates(out.frontier_);
   out.store_ = std::move(next);
-  return out;
-}
-
-std::optional<FrontierIndex> FrontierIndex::with_limit(
-    std::size_t type, int new_max, const cloud::Catalog& to) const {
-  const std::size_t width = max_counts_.size();
-  if (to.size() != width || type >= width) return std::nullopt;
-  const std::span<const double> to_hourly = to.hourly_costs();
-  for (std::size_t i = 0; i < width; ++i)
-    if (to_hourly[i] != hourly_[i]) return std::nullopt;
-  const std::vector<int>& to_limits = to.limits();
-  for (std::size_t i = 0; i < width; ++i) {
-    const int expected = i == type ? new_max : max_counts_[i];
-    if (to_limits[i] != expected) return std::nullopt;
-  }
-  std::optional<FrontierIndex> out = with_limit(type, new_max);
-  if (out) out->catalog_fingerprint_ = to.fingerprint();
   return out;
 }
 
@@ -842,21 +810,10 @@ std::uint64_t FrontierIndex::count_feasible(double demand,
   return count;
 }
 
-SweepResult FrontierIndex::query(double demand, const Constraints& constraints,
-                                 bool collect_pareto) const {
-  validate_query(demand, constraints);
-  return query_impl(demand, constraints, collect_pareto);
-}
-
 SweepResult FrontierIndex::query(const Query& query) const {
   // Query::make already validated; don't pay validate_query twice.
-  return query_impl(query.demand(), query.constraints(),
-                    query.options().collect_pareto);
-}
-
-SweepResult FrontierIndex::query_impl(double demand,
-                                      const Constraints& constraints,
-                                      bool collect_pareto) const {
+  const double demand = query.demand();
+  const Constraints& constraints = query.constraints();
   if (constraints.confidence_z > 0 && constraints.rate_sigma > 0)
     throw std::invalid_argument(
         "FrontierIndex::query: risk-aware queries need sweep()");
@@ -892,30 +849,25 @@ SweepResult FrontierIndex::query_impl(double demand,
 
   // One exact pass over the (short) admitted range: rounded costs inside an
   // equal-slope run wiggle by ulps in either direction, so no early exit —
-  // min-cost and min-time use sweep()'s exact comparisons and tie breaks.
+  // min-cost and min-time use sweep()'s total orders (pareto.hpp).
   bool any = false;
   for (std::size_t i = lo_i; i < hi_i; ++i) {
     const Entry& e = frontier_[i];
     const double seconds = demand / e.u;
     const double cost = seconds / 3600.0 * e.cu;
     if (!(cost < budget)) continue;
+    const CostTimePoint point{e.config_index, seconds, cost};
     if (!any) {
-      result.min_cost = result.min_time = {e.config_index, seconds, cost};
+      result.min_cost = result.min_time = point;
       any = true;
       continue;
     }
-    if (cost < result.min_cost.cost ||
-        (cost == result.min_cost.cost && seconds < result.min_cost.seconds)) {
-      result.min_cost = {e.config_index, seconds, cost};
-    }
-    if (seconds < result.min_time.seconds ||
-        (seconds == result.min_time.seconds && cost < result.min_time.cost)) {
-      result.min_time = {e.config_index, seconds, cost};
-    }
+    if (cheaper(point, result.min_cost)) result.min_cost = point;
+    if (faster(point, result.min_time)) result.min_time = point;
   }
   result.any_feasible = any;
 
-  if (collect_pareto && any) {
+  if (query.options().collect_pareto && any) {
     std::vector<CostTimePoint> candidates;
     candidates.reserve(hi_i - lo_i);
     for (std::size_t i = lo_i; i < hi_i; ++i) {
@@ -942,93 +894,17 @@ std::size_t FrontierIndex::memory_bytes() const {
 
 bool FrontierIndex::matches(const ConfigurationSpace& space,
                             const ResourceCapacity& capacity,
-                            std::span<const double> hourly_costs) const {
+                            const cloud::Catalog& catalog) const {
+  if (catalog.fingerprint() != catalog_fingerprint_) return false;
   if (space.max_counts() != max_counts_) return false;
   if (capacity.num_types() != rates_.size()) return false;
   for (std::size_t i = 0; i < rates_.size(); ++i)
     if (capacity.rate(i) != rates_[i]) return false;
+  const std::span<const double> hourly_costs = catalog.hourly_costs();
   if (hourly_costs.size() != hourly_.size()) return false;
   for (std::size_t i = 0; i < hourly_.size(); ++i)
     if (hourly_costs[i] != hourly_[i]) return false;
   return true;
-}
-
-bool FrontierIndex::matches(const ConfigurationSpace& space,
-                            const ResourceCapacity& capacity,
-                            std::span<const double> hourly_costs,
-                            std::uint64_t catalog_fingerprint) const {
-  return catalog_fingerprint == catalog_fingerprint_ &&
-         matches(space, capacity, hourly_costs);
-}
-
-namespace {
-
-/// The shared-cache implementation behind both overloads. The key is
-/// (catalog fingerprint, model content); span-based callers live in the
-/// fingerprint-0 ("unpinned") key space, catalog-based callers in their
-/// catalog's own, so the two can never serve each other's entries.
-std::shared_ptr<const FrontierIndex> shared_frontier_index_keyed(
-    const ConfigurationSpace& space, const ResourceCapacity& capacity,
-    std::span<const double> hourly_costs, const cloud::Catalog* catalog,
-    parallel::ThreadPool* pool) {
-  const std::uint64_t fingerprint = catalog ? catalog->fingerprint() : 0;
-  static std::mutex mutex;
-  static std::vector<std::shared_ptr<const FrontierIndex>> cache;  // MRU first
-  constexpr std::size_t kMaxCached = 4;
-  static obs::Counter& cache_hits =
-      obs::counter("celia_frontier_cache_hits_total",
-                   "shared_frontier_index lookups served from the cache");
-  static obs::Counter& cache_misses = obs::counter(
-      "celia_frontier_cache_misses_total",
-      "shared_frontier_index lookups that had to build a new index");
-
-  {
-    std::lock_guard<std::mutex> lock(mutex);
-    for (auto it = cache.begin(); it != cache.end(); ++it) {
-      if ((*it)->matches(space, capacity, hourly_costs, fingerprint)) {
-        auto hit = *it;
-        cache.erase(it);
-        cache.insert(cache.begin(), hit);
-        cache_hits.add(1);
-        return hit;
-      }
-    }
-  }
-  cache_misses.add(1);
-
-  // Build outside the lock; a concurrent builder of the same model may
-  // race, in which case the first insertion wins.
-  FrontierIndex::BuildOptions build_options;
-  build_options.pool = pool;
-  auto built = std::make_shared<const FrontierIndex>(
-      catalog
-          ? FrontierIndex::build(space, capacity, *catalog, build_options)
-          : FrontierIndex::build(space, capacity, hourly_costs,
-                                 build_options));
-
-  std::lock_guard<std::mutex> lock(mutex);
-  for (const auto& cached : cache)
-    if (cached->matches(space, capacity, hourly_costs, fingerprint))
-      return cached;
-  cache.insert(cache.begin(), built);
-  if (cache.size() > kMaxCached) cache.pop_back();
-  return built;
-}
-
-}  // namespace
-
-std::shared_ptr<const FrontierIndex> shared_frontier_index(
-    const ConfigurationSpace& space, const ResourceCapacity& capacity,
-    std::span<const double> hourly_costs, parallel::ThreadPool* pool) {
-  return shared_frontier_index_keyed(space, capacity, hourly_costs, nullptr,
-                                     pool);
-}
-
-std::shared_ptr<const FrontierIndex> shared_frontier_index(
-    const ConfigurationSpace& space, const ResourceCapacity& capacity,
-    const cloud::Catalog& catalog, parallel::ThreadPool* pool) {
-  return shared_frontier_index_keyed(space, capacity, catalog.hourly_costs(),
-                                     &catalog, pool);
 }
 
 }  // namespace celia::core

@@ -99,17 +99,10 @@ class FrontierIndex {
     std::uint64_t config_index = 0;
   };
 
-  /// One parallel pass over the space (plus a scatter pass for the grid).
-  /// `hourly_costs[i]` is the per-hour price of one instance of type i.
-  static FrontierIndex build(const ConfigurationSpace& space,
-                             const ResourceCapacity& capacity,
-                             std::span<const double> hourly_costs,
-                             const BuildOptions& options = {});
-
-  /// Build for a specific catalog: prices come from
-  /// `catalog.hourly_costs()` and the index is PINNED to the catalog's
-  /// full fingerprint, so the shared cache can never serve it for a
-  /// different catalog (even one with identical prices). Throws
+  /// One parallel pass over the space (plus a scatter pass for the grid),
+  /// priced with `catalog.hourly_costs()`. The index is PINNED to the
+  /// catalog's full fingerprint, so it can never answer for a different
+  /// catalog (even one with identical prices). Throws
   /// std::invalid_argument when `capacity` was characterized against a
   /// structurally different catalog.
   static FrontierIndex build(const ConfigurationSpace& space,
@@ -117,21 +110,10 @@ class FrontierIndex {
                              const cloud::Catalog& catalog,
                              const BuildOptions& options = {});
 
-  /// Convenience overload pricing with the EC2 catalog (paper Table III).
-  static FrontierIndex build(const ConfigurationSpace& space,
-                             const ResourceCapacity& capacity,
-                             const BuildOptions& options = {});
-
-  /// Answer a deterministic (demand, deadline, budget) query. Equivalent
-  /// to sweep() with the same arguments (see the exactness note above).
-  /// Throws std::invalid_argument for non-positive demand and for
-  /// risk-aware constraints (those need the sweep path).
-  SweepResult query(double demand, const Constraints& constraints,
-                    bool collect_pareto = true) const;
-
-  /// As above for a pre-validated core::Query (validation already ran in
-  /// Query::make, so it is not repeated). Risk-aware constraints still
-  /// throw — route those through sweep().
+  /// Answer a pre-validated deterministic core::Query (validation already
+  /// ran in Query::make, so it is not repeated). Equivalent to sweep() with
+  /// the same arguments (see the exactness note above). Risk-aware
+  /// constraints throw std::invalid_argument — route those through sweep().
   SweepResult query(const Query& query) const;
 
   /// The demand-invariant staircase: ascending U, non-decreasing slope.
@@ -145,8 +127,8 @@ class FrontierIndex {
   std::size_t grid_resolution() const { return grid_; }
   std::size_t memory_bytes() const;
 
-  /// Full fingerprint of the catalog this index was built for; 0 when the
-  /// index was built from an ad-hoc hourly-cost span (unpinned).
+  /// Full fingerprint of the catalog this index was built (or delta-
+  /// derived) for.
   std::uint64_t catalog_fingerprint() const { return catalog_fingerprint_; }
 
   /// Order-sensitive FNV-1a over the index's observable content: model
@@ -168,46 +150,33 @@ class FrontierIndex {
   /// carries the anchor prices; with_limit() requires a pristine index).
   bool is_repriced() const;
 
-  /// Price-only delta: same space, same rates, new hourly prices. Returns
-  /// an index answering queries bit-identically to a from-scratch build at
-  /// `new_hourly`, or nullopt when the edit is not provably coverable
-  /// (width mismatch, ratio band vs the anchor prices exceeded, zero/
-  /// negative prices, or delta_capable() is false). O(candidates), never
-  /// walks the space.
-  std::optional<FrontierIndex> repriced(
-      std::span<const double> new_hourly) const;
-
-  /// Catalog form: additionally requires an identical catalog STRUCTURE
-  /// (types + limits) and pins the result to `to.fingerprint()`.
+  /// Price-only delta: same space, same rates, the prices of `to`, which
+  /// must have the anchor catalog's STRUCTURE (types + limits). Returns an
+  /// index pinned to `to.fingerprint()` that answers queries
+  /// bit-identically to a from-scratch build for `to`, or nullopt when the
+  /// edit is not provably coverable (width or limit mismatch, ratio band
+  /// vs the anchor prices exceeded, or delta_capable() is false).
+  /// O(candidates), never walks the space.
   std::optional<FrontierIndex> repriced(const cloud::Catalog& to) const;
 
   /// Single-axis delta: type `type`'s instance limit decreases to
-  /// `new_max`. Filters + remaps the point store (one pass, no walk),
-  /// recounts the grid and re-filters the staircase from the surviving
-  /// candidates. Returns nullopt when the edit is an increase, the index
-  /// is repriced or not delta-capable, the shrunken space is empty, or
-  /// the envelope-rise verification cannot prove the filtered candidate
-  /// set still covers the new staircase.
-  std::optional<FrontierIndex> with_limit(std::size_t type, int new_max) const;
-
-  /// Catalog form of with_limit: `to` must differ from the anchor catalog
-  /// only in type `type`'s limit (same types, same prices); pins the
-  /// result to `to.fingerprint()`.
+  /// `new_max`, and `to` must differ from the anchor catalog only in that
+  /// limit (same types, same prices). Filters + remaps the point store
+  /// (one pass, no walk), recounts the grid and re-filters the staircase
+  /// from the surviving candidates; the result is pinned to
+  /// `to.fingerprint()`. Returns nullopt when `to` differs elsewhere, the
+  /// edit is an increase, the index is repriced or not delta-capable, the
+  /// shrunken space is empty, or the envelope-rise verification cannot
+  /// prove the filtered candidate set still covers the new staircase.
   std::optional<FrontierIndex> with_limit(std::size_t type, int new_max,
                                           const cloud::Catalog& to) const;
 
-  /// True when the index was built for exactly this model.
+  /// True when the index was built for exactly this model: same space,
+  /// same capacity rates, and pinned to `catalog` (fingerprint and
+  /// prices).
   bool matches(const ConfigurationSpace& space,
                const ResourceCapacity& capacity,
-               std::span<const double> hourly_costs) const;
-
-  /// As above, additionally requiring the index's catalog pin to equal
-  /// `catalog_fingerprint` (0 = unpinned). The shared cache keys on this,
-  /// so two catalogs never alias one staircase.
-  bool matches(const ConfigurationSpace& space,
-               const ResourceCapacity& capacity,
-               std::span<const double> hourly_costs,
-               std::uint64_t catalog_fingerprint) const;
+               const cloud::Catalog& catalog) const;
 
  private:
   // Counting grid + SoA point store + wide candidate set, built once and
@@ -217,9 +186,6 @@ class FrontierIndex {
 
   FrontierIndex() = default;
 
-  SweepResult query_impl(double demand, const Constraints& constraints,
-                         bool collect_pareto) const;
-
   std::uint64_t count_feasible(double demand, double deadline_seconds,
                                double budget_dollars) const;
 
@@ -227,7 +193,7 @@ class FrontierIndex {
   std::vector<int> max_counts_;
   std::vector<double> rates_;
   std::vector<double> hourly_;
-  std::uint64_t catalog_fingerprint_ = 0;  // 0 = ad-hoc span build
+  std::uint64_t catalog_fingerprint_ = 0;
   std::uint64_t total_ = 0;
   std::uint64_t positive_ = 0;
 
@@ -243,22 +209,5 @@ class FrontierIndex {
   double rho_lo_ = 1.0;
   double rho_hi_ = 1.0;
 };
-
-/// Process-wide index cache (small LRU keyed by (catalog fingerprint,
-/// model content)): returns the shared index for (space, capacity,
-/// hourly_costs), building it on first use. This is what
-/// IndexPolicy::Shared() consults. Span-based lookups use the unpinned
-/// key space (fingerprint 0).
-std::shared_ptr<const FrontierIndex> shared_frontier_index(
-    const ConfigurationSpace& space, const ResourceCapacity& capacity,
-    std::span<const double> hourly_costs,
-    parallel::ThreadPool* pool = nullptr);
-
-/// Catalog-pinned shared index: keyed by `catalog.fingerprint()` in
-/// addition to the model content, so two catalogs — even ones with
-/// identical prices — never share a cache entry.
-std::shared_ptr<const FrontierIndex> shared_frontier_index(
-    const ConfigurationSpace& space, const ResourceCapacity& capacity,
-    const cloud::Catalog& catalog, parallel::ThreadPool* pool = nullptr);
 
 }  // namespace celia::core

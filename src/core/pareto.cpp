@@ -15,11 +15,11 @@ bool dominates(const CostTimePoint& a, const CostTimePoint& b) {
 std::vector<CostTimePoint> pareto_filter(std::vector<CostTimePoint> points) {
   if (points.empty()) return points;
   // Ascending cost; ties broken by ascending time so the scan keeps the
-  // best-time representative of each cost level.
+  // best-time representative of each cost level, and exact ties by
+  // ascending config_index so that representative is unique.
   std::sort(points.begin(), points.end(),
             [](const CostTimePoint& a, const CostTimePoint& b) {
-              if (a.cost != b.cost) return a.cost < b.cost;
-              return a.seconds < b.seconds;
+              return cheaper(a, b);
             });
   std::vector<CostTimePoint> frontier;
   double best_seconds = std::numeric_limits<double>::infinity();

@@ -22,12 +22,35 @@ struct CostTimePoint {
   friend bool operator==(const CostTimePoint&, const CostTimePoint&) = default;
 };
 
+/// The total orders every planner route chooses points by. When several
+/// configurations tie exactly in cost and time, the LOWEST config_index
+/// wins, so an answer never depends on thread count, block arrival order
+/// or route (sweep, FrontierIndex, engine, service).
+///
+/// Min-cost order: (cost, seconds, config_index). Written `<` before `==`
+/// so a point that is neither cheaper nor tied costs two compares.
+inline bool cheaper(const CostTimePoint& a, const CostTimePoint& b) {
+  return a.cost < b.cost ||
+         (a.cost == b.cost &&
+          (a.seconds < b.seconds ||
+           (a.seconds == b.seconds && a.config_index < b.config_index)));
+}
+
+/// Min-time order: (seconds, cost, config_index).
+inline bool faster(const CostTimePoint& a, const CostTimePoint& b) {
+  return a.seconds < b.seconds ||
+         (a.seconds == b.seconds &&
+          (a.cost < b.cost ||
+           (a.cost == b.cost && a.config_index < b.config_index)));
+}
+
 /// True when `a` dominates `b`: no worse in both objectives, strictly
 /// better in at least one.
 bool dominates(const CostTimePoint& a, const CostTimePoint& b);
 
 /// Exact Pareto filter; returns the frontier sorted by ascending cost
-/// (hence descending time). O(n log n).
+/// (hence descending time). Points are ordered by cheaper(), so of several
+/// exactly tied points the lowest config_index is kept. O(n log n).
 std::vector<CostTimePoint> pareto_filter(std::vector<CostTimePoint> points);
 
 /// Epsilon-nondomination sort: points are binned into (eps_seconds x

@@ -56,16 +56,6 @@ EngineCounters& engine_counters() {
   return counters;
 }
 
-/// Same eligibility rule as IndexPolicy: the FrontierIndex answers only
-/// deterministic, unsampled, scalar (1-D) queries.
-bool index_eligible(const Query& query) {
-  const Constraints& constraints = query.constraints();
-  const bool risk_aware =
-      constraints.confidence_z > 0 && constraints.rate_sigma > 0;
-  return !risk_aware && query.options().sample_stride == 0 &&
-         query.num_dimensions() == 1;
-}
-
 /// Largest sub-space of `space` with at most `max_configs` configurations,
 /// shrunk by repeatedly halving the currently largest per-type limit —
 /// the best-effort search space of the kTruncatedSweep route. Low counts
@@ -189,7 +179,7 @@ void PlannerEngine::add_catalog(std::string name,
   if (new_fingerprint != old_fingerprint &&
       edit.kind != ReplaceEdit::Kind::kRebuild) {
     for (const CachedIndex& cached : indexes_) {
-      if (cached.catalog_fingerprint != old_fingerprint) continue;
+      if (cached.index->catalog_fingerprint() != old_fingerprint) continue;
       std::optional<FrontierIndex> next =
           edit.kind == ReplaceEdit::Kind::kRescale
               ? cached.index->repriced(*catalog)
@@ -200,7 +190,7 @@ void PlannerEngine::add_catalog(std::string name,
       if (!next) continue;
       auto built = std::make_shared<const FrontierIndex>(std::move(*next));
       const std::size_t bytes = built->memory_bytes();
-      derived.push_back({new_fingerprint, std::move(built), bytes, 0});
+      derived.push_back({std::move(built), bytes, 0});
     }
   }
   // The commit below must not throw, so take the one allocation that
@@ -236,7 +226,8 @@ void PlannerEngine::add_catalog(std::string name,
       });
   if (!still_referenced) {
     std::erase_if(indexes_, [&](const CachedIndex& cached) {
-      if (cached.catalog_fingerprint != old_fingerprint) return false;
+      if (cached.index->catalog_fingerprint() != old_fingerprint)
+        return false;
       cache_bytes_ -= cached.bytes;
       return true;
     });
@@ -338,8 +329,7 @@ SweepResult PlannerEngine::plan_impl(const cloud::Catalog& catalog,
   // engine IS the cache here.
   SweepOptions sweep_options = query.options();
   sweep_options.index_policy = IndexPolicy::Never();
-  const Query sweep_query =
-      Query::make(query.demand(), query.constraints(), sweep_options);
+  const Query sweep_query = query.with_options(sweep_options);
 
   // Last-resort route: a best-effort sweep over a truncated space, then
   // re-encoded into full-space config indices. Never throws on a tight
@@ -357,7 +347,7 @@ SweepResult PlannerEngine::plan_impl(const cloud::Catalog& catalog,
 
   const bool sweep_fits = remaining >= budget.sweep_cost_seconds;
 
-  if (!index_eligible(query)) {
+  if (!query.index_eligible()) {
     // Risk-aware / sampled / multi-dimensional queries need the sweep;
     // run it at the catalog's prices with the index explicitly disabled.
     if (!sweep_fits) return truncated_sweep();
@@ -365,13 +355,11 @@ SweepResult PlannerEngine::plan_impl(const cloud::Catalog& catalog,
     return sweep(space, capacity, catalog, sweep_query);
   }
 
-  const std::uint64_t fingerprint = catalog.fingerprint();
   std::shared_ptr<const FrontierIndex> index;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     for (CachedIndex& cached : indexes_) {
-      if (cached.catalog_fingerprint == fingerprint &&
-          cached.index->matches(space, capacity, catalog.hourly_costs())) {
+      if (cached.index->matches(space, capacity, catalog)) {
         cached.last_used = ++use_tick_;
         index = cached.index;
         break;
@@ -402,8 +390,7 @@ SweepResult PlannerEngine::plan_impl(const cloud::Catalog& catalog,
         FrontierIndex::build(space, capacity, catalog, build_options));
     std::lock_guard<std::mutex> lock(mutex_);
     for (CachedIndex& cached : indexes_) {
-      if (cached.catalog_fingerprint == fingerprint &&
-          cached.index->matches(space, capacity, catalog.hourly_costs())) {
+      if (cached.index->matches(space, capacity, catalog)) {
         cached.last_used = ++use_tick_;
         index = cached.index;
         break;
@@ -411,7 +398,7 @@ SweepResult PlannerEngine::plan_impl(const cloud::Catalog& catalog,
     }
     if (!index) {
       const std::size_t bytes = built->memory_bytes();
-      indexes_.push_back({fingerprint, built, bytes, ++use_tick_});
+      indexes_.push_back({built, bytes, ++use_tick_});
       cache_bytes_ += bytes;
       index = std::move(built);
       // LRU eviction keeps the cache under the byte bound. The entry just
@@ -422,9 +409,7 @@ SweepResult PlannerEngine::plan_impl(const cloud::Catalog& catalog,
     }
   }
 
-  SweepResult result = index->query(query);
-  result.route = QueryRoute::kIndex;
-  return result;
+  return index->query(query);
 }
 
 }  // namespace celia::core

@@ -11,14 +11,15 @@
 //
 //   * Catalog snapshots are registered under a name and immutable from
 //     then on (swapping a name to a new snapshot is an explicit replace).
-//   * Index-eligible queries (deterministic, unsampled — the same
-//     eligibility rule as IndexPolicy) are answered from a cached
-//     FrontierIndex keyed by (catalog fingerprint, capacity). The first
-//     query against a (catalog, model) pair builds the index once —
-//     outside the lock, first insertion wins — and every later query
-//     hits the cache, whatever other catalogs were queried in between.
-//   * Ineligible queries (risk-aware or sampled) run the full sweep at
-//     the catalog's prices.
+//   * Index-eligible queries (Query::index_eligible(), the one rule
+//     sweep()'s IndexPolicy also routes by) are answered from a cached
+//     FrontierIndex keyed by (catalog fingerprint, capacity) — the
+//     library's only index cache. The first query against a (catalog,
+//     model) pair builds the index once — outside the lock, first
+//     insertion wins — and every later query hits the cache, whatever
+//     other catalogs were queried in between.
+//   * Ineligible queries (risk-aware, sampled or multi-dimensional) run
+//     the full sweep at the catalog's prices.
 //
 // DEGRADED OPERATION (control-plane resilience): a PlanBudget bounds how
 // much simulated work one query may spend. The engine walks a fixed
@@ -169,8 +170,7 @@ class PlannerEngine {
 
  private:
   struct CachedIndex {
-    std::uint64_t catalog_fingerprint = 0;
-    std::shared_ptr<const FrontierIndex> index;
+    std::shared_ptr<const FrontierIndex> index;  // pinned to its catalog
     std::size_t bytes = 0;
     std::uint64_t last_used = 0;  // LRU tick of the latest hit/insert
   };

@@ -39,14 +39,18 @@ Query Query::with_options(SweepOptions options) const {
   return query;
 }
 
+bool Query::index_eligible() const noexcept {
+  const bool risk_aware =
+      constraints_.confidence_z > 0 && constraints_.rate_sigma > 0;
+  return !risk_aware && options_.sample_stride == 0 && num_dimensions() == 1;
+}
+
 std::string_view query_route_name(QueryRoute route) {
   switch (route) {
     case QueryRoute::kSweep:
       return "sweep";
     case QueryRoute::kIndex:
       return "index";
-    case QueryRoute::kSharedIndex:
-      return "shared_index";
     case QueryRoute::kSweepFallback:
       return "sweep_fallback";
     case QueryRoute::kDegradedSweep:

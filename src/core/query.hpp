@@ -2,12 +2,12 @@
 // core::Query — the validated planner query value type.
 //
 // Every planner entry point — sweep(), FrontierIndex::query(),
-// recommend(), Celia::select()/min_cost_configuration() — routes through
-// one of these. Construction via Query::make() runs validate_query()
-// exactly once; downstream code trusts a Query and never re-validates, so
-// a query is checked once no matter how many layers it passes through
-// (and a malformed one is rejected at the API boundary, with the same
-// std::invalid_argument regardless of entry point).
+// PlannerEngine::plan(), Celia::select()/min_cost_configuration() —
+// routes through one of these. Construction via Query::make() runs
+// validate_query() exactly once; downstream code trusts a Query and never
+// re-validates, so a query is checked once no matter how many layers it
+// passes through (and a malformed one is rejected at the API boundary,
+// with the same std::invalid_argument regardless of entry point).
 //
 // The bundled SweepOptions carry the execution knobs (pool, sampling,
 // Pareto collection) and the IndexPolicy deciding whether the
@@ -53,6 +53,13 @@ class Query {
 
   /// Copy with different options (constraints/demand stay validated).
   Query with_options(SweepOptions options) const;
+
+  /// True when a FrontierIndex can answer this query: deterministic (not
+  /// risk-aware), unsampled and scalar. The staircase is demand-invariant
+  /// only in 1-D — with several dimensions the frontier depends on the
+  /// demand mix's direction. The one eligibility rule sweep()'s
+  /// IndexPolicy and PlannerEngine both route by.
+  bool index_eligible() const noexcept;
 
  private:
   Query() = default;

@@ -8,7 +8,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "cloud/instance_type.hpp"
 #include "parallel/parallel_for.hpp"
 
 namespace celia::core {
@@ -48,16 +47,20 @@ double expected_makespan(double base_seconds, int nodes,
 
 std::optional<ReliablePoint> reliable_min_cost(
     const ConfigurationSpace& space, const ResourceCapacity& capacity,
-    std::span<const double> hourly_costs, double demand,
-    double deadline_seconds, const ReliabilitySpec& spec,
-    parallel::ThreadPool* pool) {
+    const cloud::Catalog& catalog, double demand, double deadline_seconds,
+    const ReliabilitySpec& spec, parallel::ThreadPool* pool) {
   Constraints as_constraints;
   as_constraints.deadline_seconds = deadline_seconds;
   validate_query(demand, as_constraints);  // same rejection as sweep()
   validate(spec);
   if (space.num_types() != capacity.num_types() ||
-      hourly_costs.size() != capacity.num_types())
+      catalog.size() != capacity.num_types())
     throw std::invalid_argument("reliable_min_cost: width mismatch");
+  if (!capacity.compatible_with(catalog))
+    throw std::invalid_argument(
+        "reliable_min_cost: capacity was characterized against a "
+        "structurally different catalog than '" + catalog.name() + "'");
+  const std::span<const double> hourly_costs = catalog.hourly_costs();
 
   const std::size_t m = space.num_types();
   std::vector<double> rates(m), hourly(m);
@@ -191,15 +194,6 @@ std::optional<ReliablePoint> reliable_min_cost(
       },
       for_options);
   return best;
-}
-
-std::optional<ReliablePoint> reliable_min_cost(
-    const ConfigurationSpace& space, const ResourceCapacity& capacity,
-    double demand, double deadline_seconds, const ReliabilitySpec& spec,
-    parallel::ThreadPool* pool) {
-  const std::vector<double> hourly = ec2_hourly_costs();
-  return reliable_min_cost(space, capacity, hourly, demand, deadline_seconds,
-                           spec, pool);
 }
 
 }  // namespace celia::core

@@ -78,19 +78,14 @@ double expected_makespan(double base_seconds, int nodes,
                          const ReliabilitySpec& spec);
 
 /// Cheapest configuration whose EXPECTED makespan meets the deadline and
-/// which survives the spec's k-node loss. Exhaustive parallel sweep;
-/// ties break toward smaller expected time. Returns nullopt when nothing
-/// qualifies. Throws std::invalid_argument on bad demand/deadline/spec.
+/// which survives the spec's k-node loss, priced with `catalog`.
+/// Exhaustive parallel sweep; ties break toward smaller expected time.
+/// Returns nullopt when nothing qualifies. Throws std::invalid_argument on
+/// bad demand/deadline/spec or a catalog structurally incompatible with
+/// the capacity.
 std::optional<ReliablePoint> reliable_min_cost(
     const ConfigurationSpace& space, const ResourceCapacity& capacity,
-    std::span<const double> hourly_costs, double demand,
-    double deadline_seconds, const ReliabilitySpec& spec,
-    parallel::ThreadPool* pool = nullptr);
-
-/// Convenience overload pricing with the EC2 catalog (paper Table III).
-std::optional<ReliablePoint> reliable_min_cost(
-    const ConfigurationSpace& space, const ResourceCapacity& capacity,
-    double demand, double deadline_seconds, const ReliabilitySpec& spec,
-    parallel::ThreadPool* pool = nullptr);
+    const cloud::Catalog& catalog, double demand, double deadline_seconds,
+    const ReliabilitySpec& spec, parallel::ThreadPool* pool = nullptr);
 
 }  // namespace celia::core

@@ -28,14 +28,6 @@ std::string_view risk_model_name(RiskModel model) {
 
 std::optional<CostTimePoint> robust_min_cost(
     const ConfigurationSpace& space, const ResourceCapacity& capacity,
-    double demand, double deadline_seconds, const RiskSpec& spec,
-    parallel::ThreadPool* pool) {
-  return robust_min_cost(space, capacity, cloud::Catalog::ec2_table3(),
-                         demand, deadline_seconds, spec, pool);
-}
-
-std::optional<CostTimePoint> robust_min_cost(
-    const ConfigurationSpace& space, const ResourceCapacity& capacity,
     const cloud::Catalog& catalog, double demand, double deadline_seconds,
     const RiskSpec& spec, parallel::ThreadPool* pool) {
   if (demand <= 0)
@@ -93,10 +85,8 @@ std::optional<CostTimePoint> robust_min_cost(
         std::optional<CostTimePoint> local;
         const auto note = [&](std::uint64_t index, double seconds,
                               double cost) {
-          if (!local || cost < local->cost ||
-              (cost == local->cost && seconds < local->seconds)) {
-            local = CostTimePoint{index, seconds, cost};
-          }
+          const CostTimePoint point{index, seconds, cost};
+          if (!local || cheaper(point, *local)) local = point;
         };
         const auto consider = [&](std::uint64_t index, double u, double cu,
                                   double v, int instances) {
@@ -166,9 +156,7 @@ std::optional<CostTimePoint> robust_min_cost(
 
         if (local) {
           std::lock_guard<std::mutex> lock(merge_mutex);
-          if (!best || local->cost < best->cost ||
-              (local->cost == best->cost && local->seconds < best->seconds))
-            best = local;
+          if (!best || cheaper(*local, *best)) best = local;
         }
       },
       for_options);

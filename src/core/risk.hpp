@@ -50,18 +50,13 @@ struct RiskSpec {
 /// confidence (exhaustive sweep), priced with `catalog`. The returned
 /// point carries the DETERMINISTIC predicted time/cost of the chosen
 /// configuration (what the user would quote), feasibility having been
-/// tested probabilistically. Returns nullopt when nothing qualifies.
+/// tested probabilistically. Exact ties resolve by pareto.hpp's cheaper()
+/// order (lowest config_index wins). Returns nullopt when nothing qualifies.
 /// Throws std::invalid_argument on a bad spec or a catalog structurally
 /// incompatible with the capacity.
 std::optional<CostTimePoint> robust_min_cost(
     const ConfigurationSpace& space, const ResourceCapacity& capacity,
     const cloud::Catalog& catalog, double demand, double deadline_seconds,
     const RiskSpec& spec, parallel::ThreadPool* pool = nullptr);
-
-/// Convenience overload pricing with the paper's Table III catalog.
-std::optional<CostTimePoint> robust_min_cost(
-    const ConfigurationSpace& space, const ResourceCapacity& capacity,
-    double demand, double deadline_seconds, const RiskSpec& spec,
-    parallel::ThreadPool* pool = nullptr);
 
 }  // namespace celia::core

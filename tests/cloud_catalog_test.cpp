@@ -1,7 +1,12 @@
-// Tests for the EC2 catalog (paper Table III) and billing policies.
+// Tests for the EC2 catalog (paper Table III), repriced catalogs and
+// billing policies.
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <vector>
+
+#include "cloud/catalog.hpp"
 #include "cloud/instance_type.hpp"
 #include "cloud/pricing.hpp"
 
@@ -89,6 +94,62 @@ TEST(Catalog, IndexLookup) {
   EXPECT_EQ(catalog_index("c4.large"), 0u);
   EXPECT_EQ(catalog_index("r3.2xlarge"), 8u);
   EXPECT_THROW(catalog_index("nope"), std::out_of_range);
+}
+
+TEST(Catalog, RepricedRejectsMalformedPriceVectors) {
+  // A catalog is the only price source the planner reads, so a bad price
+  // vector must be refused here, before any sweep or index can see it.
+  const Catalog& table3 = Catalog::ec2_table3();
+  const std::vector<double> prices(table3.hourly_costs().begin(),
+                                   table3.hourly_costs().end());
+  EXPECT_THROW(table3.repriced("short", "test",
+                               {prices.begin(), prices.end() - 1}),
+               std::invalid_argument);
+  std::vector<double> longer = prices;
+  longer.push_back(0.1);
+  EXPECT_THROW(table3.repriced("long", "test", longer), std::invalid_argument);
+  EXPECT_THROW(table3.repriced("empty", "test", {}), std::invalid_argument);
+  for (const double bad : {0.0, -0.105, std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN()}) {
+    std::vector<double> damaged = prices;
+    damaged[4] = bad;
+    EXPECT_THROW(table3.repriced("bad", "test", damaged),
+                 std::invalid_argument)
+        << bad;
+  }
+  EXPECT_THROW(table3.with_price_multiplier("zero", "test", 0.0),
+               std::invalid_argument);
+  EXPECT_NO_THROW(table3.repriced("same", "test", prices));
+}
+
+TEST(Catalog, RepricedKeepsStructureAndTakesANewIdentity) {
+  const Catalog& table3 = Catalog::ec2_table3();
+  std::vector<double> prices(table3.hourly_costs().begin(),
+                             table3.hourly_costs().end());
+  prices[2] *= 1.25;
+  const Catalog repriced = table3.repriced("oregon-2", "us-west-2", prices);
+  EXPECT_EQ(repriced.name(), "oregon-2");
+  EXPECT_EQ(repriced.region(), "us-west-2");
+  ASSERT_EQ(repriced.size(), table3.size());
+  EXPECT_EQ(repriced.limits(), table3.limits());
+  for (std::size_t i = 0; i < repriced.size(); ++i) {
+    EXPECT_EQ(repriced.type(i).name, table3.type(i).name);
+    EXPECT_EQ(repriced.hourly_costs()[i], prices[i]) << i;
+    EXPECT_EQ(repriced.type(i).cost_per_hour, prices[i]) << i;
+  }
+  // Same types and limits: one capacity measurement serves both. Other
+  // prices: a distinct full identity, so no index can answer for both.
+  EXPECT_EQ(repriced.structure_fingerprint(), table3.structure_fingerprint());
+  EXPECT_NE(repriced.fingerprint(), table3.fingerprint());
+
+  // Identical prices under another name are still another catalog.
+  const std::vector<double> same(table3.hourly_costs().begin(),
+                                 table3.hourly_costs().end());
+  const Catalog twin = table3.repriced("twin", "test", same);
+  EXPECT_EQ(twin.structure_fingerprint(), table3.structure_fingerprint());
+  EXPECT_NE(twin.fingerprint(), table3.fingerprint());
+  EXPECT_EQ(table3.repriced("twin", "test", same).fingerprint(),
+            twin.fingerprint());
 }
 
 TEST(Pricing, ContinuousIsFractional) {

@@ -70,47 +70,18 @@ TEST(BitIdentity, FullSweepSelection) {
 TEST(BitIdentity, FrontierIndexAgreesWithTheSeed) {
   const Celia& celia = golden_celia();
   const FrontierIndex index =
-      FrontierIndex::build(celia.space(), celia.capacity());
+      FrontierIndex::build(celia.space(), celia.capacity(), celia.catalog());
   EXPECT_EQ(index.frontier().size(), 101u);
 
   Constraints constraints;
   constraints.deadline_seconds = 24.0 * 3600.0;
   constraints.budget_dollars = 350.0;
   const SweepResult result =
-      index.query(celia.predict_demand(kParams), constraints);
+      index.query(Query::make(celia.predict_demand(kParams), constraints));
   EXPECT_EQ(result.feasible, 8'046'568u);
   EXPECT_EQ(result.min_cost.config_index, 862u);
   EXPECT_EQ(result.min_cost.seconds, 0x1.49bc6553dd56ap+16);
   EXPECT_EQ(result.min_cost.cost, 0x1.7d2b3a98b4c9cp+6);
-}
-
-TEST(BitIdentity, CatalogPathReproducesTheLegacyPath) {
-  // The catalog-threaded entry points with Catalog::ec2_table3() must be
-  // the SAME computation as the legacy span path, not a near-identical
-  // one.
-  const Celia& celia = golden_celia();
-  Constraints constraints;
-  constraints.deadline_seconds = 24.0 * 3600.0;
-  constraints.budget_dollars = 350.0;
-  const Query query = Query::make(celia.predict_demand(kParams), constraints);
-  const SweepResult via_catalog =
-      sweep(celia.space(), celia.capacity(),
-            celia::cloud::Catalog::ec2_table3(), query);
-  const SweepResult via_span = sweep(
-      celia.space(), celia.capacity(),
-      celia::cloud::Catalog::ec2_table3().hourly_costs(), query);
-  EXPECT_EQ(via_catalog.feasible, via_span.feasible);
-  EXPECT_EQ(via_catalog.min_cost.config_index,
-            via_span.min_cost.config_index);
-  EXPECT_EQ(via_catalog.min_cost.seconds, via_span.min_cost.seconds);
-  EXPECT_EQ(via_catalog.min_cost.cost, via_span.min_cost.cost);
-  ASSERT_EQ(via_catalog.pareto.size(), via_span.pareto.size());
-  for (std::size_t i = 0; i < via_catalog.pareto.size(); ++i) {
-    EXPECT_EQ(via_catalog.pareto[i].config_index,
-              via_span.pareto[i].config_index);
-    EXPECT_EQ(via_catalog.pareto[i].seconds, via_span.pareto[i].seconds);
-    EXPECT_EQ(via_catalog.pareto[i].cost, via_span.pareto[i].cost);
-  }
 }
 
 }  // namespace

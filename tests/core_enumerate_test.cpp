@@ -8,24 +8,29 @@
 #include <cmath>
 
 #include "core/enumerate.hpp"
+#include "core/query.hpp"
 #include "core/time_cost.hpp"
 
 namespace {
 
 using namespace celia::core;
 
+const celia::cloud::Catalog& table3() {
+  return celia::cloud::Catalog::ec2_table3();
+}
+
 ResourceCapacity test_capacity() {
   // Distinct, realistic per-vCPU rates so ties are rare.
   std::vector<double> per_vcpu = {1.4e9, 1.4e9, 1.4e9, 1.3e9, 1.3e9,
                                   1.3e9, 1.1e9, 1.1e9, 1.1e9};
-  return ResourceCapacity(per_vcpu, celia::cloud::Catalog::ec2_table3());
+  return ResourceCapacity(per_vcpu, table3());
 }
 
 TEST(Sweep, VisitsEveryConfigurationOnce) {
   const ConfigurationSpace space(std::vector<int>(9, 1));  // 511 configs
   const auto capacity = test_capacity();
   std::atomic<std::uint64_t> visits{0};
-  for_each_configuration(space, capacity,
+  for_each_configuration(space, capacity, table3(),
                          [&](std::uint64_t, double, double) { ++visits; });
   EXPECT_EQ(visits.load(), space.size());
 }
@@ -35,7 +40,7 @@ TEST(Sweep, StreamedCapacityAndCostMatchDirectComputation) {
   const auto capacity = test_capacity();
   std::atomic<int> failures{0};
   for_each_configuration(
-      space, capacity, [&](std::uint64_t index, double u, double cu) {
+      space, capacity, table3(), [&](std::uint64_t index, double u, double cu) {
         const Configuration config = space.decode(index);
         const double expected_u = configuration_capacity(config, capacity);
         const double expected_cu = configuration_hourly_cost(config);
@@ -66,7 +71,8 @@ TEST(Sweep, FeasibleCountMatchesBruteForce) {
     }
   }
 
-  const SweepResult result = sweep(space, capacity, demand, constraints);
+  const SweepResult result =
+      sweep(space, capacity, table3(), Query::make(demand, constraints));
   EXPECT_EQ(result.feasible, expected);
   EXPECT_GT(expected, 0u);
   EXPECT_EQ(result.min_cost.config_index, best_cost.config_index);
@@ -90,7 +96,8 @@ TEST(Sweep, ParetoMatchesBruteForceOnReducedSpace) {
   }
   const auto expected = pareto_filter(feasible);
 
-  const SweepResult result = sweep(space, capacity, demand, constraints);
+  const SweepResult result =
+      sweep(space, capacity, table3(), Query::make(demand, constraints));
   ASSERT_EQ(result.pareto.size(), expected.size());
   for (std::size_t i = 0; i < expected.size(); ++i) {
     EXPECT_EQ(result.pareto[i].config_index, expected[i].config_index);
@@ -100,7 +107,8 @@ TEST(Sweep, ParetoMatchesBruteForceOnReducedSpace) {
 TEST(Sweep, UnconstrainedFindsEverythingFeasible) {
   const ConfigurationSpace space(std::vector<int>(9, 2));
   const auto capacity = test_capacity();
-  const SweepResult result = sweep(space, capacity, 1e12, Constraints{});
+  const SweepResult result =
+      sweep(space, capacity, table3(), Query::make(1e12, Constraints{}));
   EXPECT_EQ(result.feasible, space.size());
   EXPECT_TRUE(result.any_feasible);
 }
@@ -110,7 +118,8 @@ TEST(Sweep, ImpossibleDeadlineFindsNothing) {
   const auto capacity = test_capacity();
   Constraints constraints;
   constraints.deadline_seconds = 1e-6;
-  const SweepResult result = sweep(space, capacity, 1e18, constraints);
+  const SweepResult result =
+      sweep(space, capacity, table3(), Query::make(1e18, constraints));
   EXPECT_EQ(result.feasible, 0u);
   EXPECT_FALSE(result.any_feasible);
   EXPECT_TRUE(result.pareto.empty());
@@ -119,7 +128,8 @@ TEST(Sweep, ImpossibleDeadlineFindsNothing) {
 TEST(Sweep, MinTimePointIsFullFleet) {
   const ConfigurationSpace space(std::vector<int>(9, 2));
   const auto capacity = test_capacity();
-  const SweepResult result = sweep(space, capacity, 1e15, Constraints{});
+  const SweepResult result =
+      sweep(space, capacity, table3(), Query::make(1e15, Constraints{}));
   // The fastest configuration is everything maxed out.
   const Configuration fastest = space.decode(result.min_time.config_index);
   for (const int count : fastest) EXPECT_EQ(count, 2);
@@ -132,7 +142,8 @@ TEST(Sweep, SampledScatterRespectsStride) {
   options.sample_stride = 100;
   options.collect_pareto = false;
   const SweepResult result =
-      sweep(space, capacity, 1e12, Constraints{}, options);
+      sweep(space, capacity, table3(),
+            Query::make(1e12, Constraints{}, options));
   EXPECT_NEAR(static_cast<double>(result.feasible_points.size()),
               static_cast<double>(result.feasible) / 100.0,
               static_cast<double>(result.feasible) / 100.0 * 0.2 + 20);
@@ -145,8 +156,10 @@ TEST(Sweep, DeterministicAcrossRuns) {
   constraints.deadline_seconds = 24 * 3600.0;
   constraints.budget_dollars = 350.0;
   const double demand = 9e15;
-  const SweepResult a = sweep(space, capacity, demand, constraints);
-  const SweepResult b = sweep(space, capacity, demand, constraints);
+  const SweepResult a =
+      sweep(space, capacity, table3(), Query::make(demand, constraints));
+  const SweepResult b =
+      sweep(space, capacity, table3(), Query::make(demand, constraints));
   EXPECT_EQ(a.feasible, b.feasible);
   EXPECT_EQ(a.min_cost.config_index, b.min_cost.config_index);
   ASSERT_EQ(a.pareto.size(), b.pareto.size());
@@ -160,7 +173,8 @@ TEST(Sweep, ParetoPointsAreFeasibleAndMutuallyNondominated) {
   Constraints constraints;
   constraints.deadline_seconds = 24 * 3600.0;
   constraints.budget_dollars = 350.0;
-  const SweepResult result = sweep(space, capacity, 9e15, constraints);
+  const SweepResult result =
+      sweep(space, capacity, table3(), Query::make(9e15, constraints));
   ASSERT_FALSE(result.pareto.empty());
   for (const auto& p : result.pareto) {
     EXPECT_LT(p.seconds, constraints.deadline_seconds);
@@ -176,7 +190,18 @@ TEST(Sweep, ParetoPointsAreFeasibleAndMutuallyNondominated) {
 TEST(Sweep, InvalidInputsThrow) {
   const auto space = ConfigurationSpace::ec2_default();
   const auto capacity = test_capacity();
-  EXPECT_THROW(sweep(space, capacity, 0.0, Constraints{}),
+  EXPECT_THROW(
+      sweep(space, capacity, table3(), Query::make(0.0, Constraints{})),
+      std::invalid_argument);
+  // The capacity was characterized against Table III's limits; a catalog
+  // with other limits is a different structure and prices nothing.
+  const celia::cloud::Catalog other_limits = table3().with_limits(
+      "limit-1", "test", std::vector<int>(table3().size(), 1));
+  EXPECT_THROW(
+      sweep(space, capacity, other_limits, Query::make(1e12, Constraints{})),
+      std::invalid_argument);
+  EXPECT_THROW(for_each_configuration(space, capacity, other_limits,
+                                      [](std::uint64_t, double, double) {}),
                std::invalid_argument);
 }
 
@@ -187,7 +212,8 @@ TEST(Sweep, ExplicitPoolIsUsed) {
   SweepOptions options;
   options.pool = &pool;
   const SweepResult result =
-      sweep(space, capacity, 1e12, Constraints{}, options);
+      sweep(space, capacity, table3(),
+            Query::make(1e12, Constraints{}, options));
   EXPECT_EQ(result.feasible, space.size());
 }
 

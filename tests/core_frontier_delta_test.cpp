@@ -118,8 +118,9 @@ void expect_index_equal(const FrontierIndex& delta,
     Constraints constraints;
     constraints.deadline_seconds = probe.deadline_seconds;
     constraints.budget_dollars = probe.budget_dollars;
-    const SweepResult a = delta.query(probe.demand, constraints);
-    const SweepResult b = scratch.query(probe.demand, constraints);
+    const Query query = Query::make(probe.demand, constraints);
+    const SweepResult a = delta.query(query);
+    const SweepResult b = scratch.query(query);
     EXPECT_EQ(a.feasible, b.feasible) << context;
     EXPECT_EQ(a.any_feasible, b.any_feasible) << context;
     if (!a.any_feasible || !b.any_feasible) continue;
@@ -212,29 +213,34 @@ TEST(FrontierDelta, RepricedChainsAgainstTheAnchorBand) {
 }
 
 TEST(FrontierDelta, RepricedRefusesUncoverableEdits) {
-  const FrontierIndex index = build_for(base_catalog());
-  const std::vector<double> anchor_hourly(
-      base_catalog().hourly_costs().begin(),
-      base_catalog().hourly_costs().end());
+  const Catalog& anchor = base_catalog();
+  const FrontierIndex index = build_for(anchor);
+  const std::vector<double> anchor_hourly(anchor.hourly_costs().begin(),
+                                          anchor.hourly_costs().end());
 
   // Ratio band exceeded.
   std::vector<double> jump = anchor_hourly;
   jump[2] *= 1.5;
-  EXPECT_FALSE(index.repriced(std::span<const double>(jump)).has_value());
+  EXPECT_FALSE(
+      index.repriced(anchor.repriced("jump", "test", jump)).has_value());
 
-  // Width mismatch.
-  std::vector<double> narrow(anchor_hourly.begin(), anchor_hourly.end() - 1);
-  EXPECT_FALSE(index.repriced(std::span<const double>(narrow)).has_value());
+  // Width mismatch: a catalog of other types is never price-only.
+  EXPECT_FALSE(index.repriced(Catalog::ec2_table3()).has_value());
 
-  // Non-positive price.
-  std::vector<double> zeroed = anchor_hourly;
-  zeroed[0] = 0.0;
-  EXPECT_FALSE(index.repriced(std::span<const double>(zeroed)).has_value());
-
-  // Catalog overload: a different STRUCTURE is never price-only.
-  Catalog shrunk = base_catalog().with_limits(
+  // A different STRUCTURE (limits) is never price-only either.
+  Catalog shrunk = anchor.with_limits(
       "l", "test", std::vector<int>{3, 4, 2, 3, 3, 1});
   EXPECT_FALSE(index.repriced(shrunk).has_value());
+
+  // Short and non-positive price vectors never reach an index: the
+  // catalog that would carry them refuses to exist.
+  std::vector<double> narrow(anchor_hourly.begin(), anchor_hourly.end() - 1);
+  EXPECT_THROW(anchor.repriced("narrow", "test", narrow),
+               std::invalid_argument);
+  std::vector<double> zeroed = anchor_hourly;
+  zeroed[0] = 0.0;
+  EXPECT_THROW(anchor.repriced("zeroed", "test", zeroed),
+               std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------
@@ -280,23 +286,57 @@ TEST(FrontierDelta, WithLimitRefusesOutOfEnvelopeEdits) {
   const FrontierIndex index = build_for(anchor);
 
   // An INCREASE adds configurations no store pass can conjure.
-  EXPECT_FALSE(index.with_limit(0, 5).has_value());
+  const Catalog grown =
+      anchor.with_limits("up", "test", std::vector<int>{5, 4, 2, 3, 3, 2});
+  EXPECT_FALSE(index.with_limit(0, 5, grown).has_value());
   // No-op "decrease".
-  EXPECT_FALSE(index.with_limit(0, 3).has_value());
+  EXPECT_FALSE(index.with_limit(0, 3, anchor).has_value());
   // Out-of-range axis.
-  EXPECT_FALSE(index.with_limit(17, 1).has_value());
+  EXPECT_FALSE(index.with_limit(17, 1, anchor).has_value());
 
   // A repriced index's store still carries anchor prices; with_limit
   // requires a pristine index and must refuse.
-  const auto repriced = index.repriced(
-      anchor.with_price_multiplier("p", "test", 1.05));
+  const Catalog bumped = anchor.with_price_multiplier("p", "test", 1.05);
+  const auto repriced = index.repriced(bumped);
   ASSERT_TRUE(repriced.has_value());
-  EXPECT_FALSE(repriced->with_limit(0, 2).has_value());
+  const Catalog bumped_cut =
+      bumped.with_limits("pc", "test", std::vector<int>{2, 4, 2, 3, 3, 2});
+  EXPECT_FALSE(repriced->with_limit(0, 2, bumped_cut).has_value());
 
-  // Catalog overload: `to` must differ ONLY in the named axis.
+  // `to` must differ from the anchor ONLY in the named axis: not in a
+  // second limit, not in prices.
+  EXPECT_FALSE(index.with_limit(0, 2, bumped_cut).has_value());
   std::vector<int> two_axes{2, 3, 2, 3, 3, 2};
   EXPECT_FALSE(index.with_limit(
       0, 2, anchor.with_limits("two", "test", two_axes)).has_value());
+}
+
+TEST(FrontierDelta, DerivedIndexesArePinnedToTheirTargetCatalog) {
+  const Catalog& anchor = base_catalog();
+  const ConfigurationSpace space = ConfigurationSpace::for_catalog(anchor);
+  const FrontierIndex index = build_for(anchor);
+  EXPECT_TRUE(index.matches(space, base_capacity(), anchor));
+
+  // A reprice answers for the new prices only, never for the anchor.
+  const Catalog bumped = anchor.with_price_multiplier("bumped", "test", 1.05);
+  const auto repriced = index.repriced(bumped);
+  ASSERT_TRUE(repriced.has_value());
+  EXPECT_EQ(repriced->catalog_fingerprint(), bumped.fingerprint());
+  EXPECT_TRUE(repriced->matches(space, base_capacity(), bumped));
+  EXPECT_FALSE(repriced->matches(space, base_capacity(), anchor));
+  EXPECT_FALSE(index.matches(space, base_capacity(), bumped));
+
+  // A limit cut answers for the shrunken space and its catalog only.
+  const Catalog cut =
+      anchor.with_limits("cut", "test", std::vector<int>{3, 4, 2, 3, 3, 1});
+  const ConfigurationSpace cut_space = ConfigurationSpace::for_catalog(cut);
+  const ResourceCapacity cut_capacity = base_capacity().rebound(cut);
+  const auto limited = index.with_limit(5, 1, cut);
+  ASSERT_TRUE(limited.has_value());
+  EXPECT_EQ(limited->catalog_fingerprint(), cut.fingerprint());
+  EXPECT_TRUE(limited->matches(cut_space, cut_capacity, cut));
+  EXPECT_FALSE(limited->matches(space, base_capacity(), anchor));
+  EXPECT_FALSE(index.matches(cut_space, cut_capacity, cut));
 }
 
 // ---------------------------------------------------------------------------
@@ -536,20 +576,20 @@ TEST(PlannerEngineDelta, InjectedDeltaFaultLeavesTheEngineUntouched) {
 TEST(PlannerEngineDelta, RepriceBandHeadroomGaugeTracksTheLatestAttempt) {
   obs::Gauge& headroom =
       obs::gauge("celia_frontier_reprice_band_headroom");
-  const FrontierIndex index = build_for(base_catalog());
-  const std::vector<double> anchor_hourly(
-      base_catalog().hourly_costs().begin(),
-      base_catalog().hourly_costs().end());
+  const Catalog& anchor = base_catalog();
+  const FrontierIndex index = build_for(anchor);
+  const std::vector<double> anchor_hourly(anchor.hourly_costs().begin(),
+                                          anchor.hourly_costs().end());
 
   // Prices at the anchor: ratio spread exactly 1, full headroom.
-  ASSERT_TRUE(
-      index.repriced(std::span<const double>(anchor_hourly)).has_value());
+  ASSERT_TRUE(index.repriced(anchor).has_value());
   EXPECT_DOUBLE_EQ(headroom.value(), 1.0);
 
   // One type at 1.05x consumes half of the 1.10 band.
   std::vector<double> half = anchor_hourly;
   half[0] *= 1.05;
-  ASSERT_TRUE(index.repriced(std::span<const double>(half)).has_value());
+  ASSERT_TRUE(
+      index.repriced(anchor.repriced("half", "test", half)).has_value());
   EXPECT_NEAR(headroom.value(), 0.5, 1e-9);
 
   // Outside the band: the delta refuses and the gauge goes negative —
@@ -557,7 +597,7 @@ TEST(PlannerEngineDelta, RepriceBandHeadroomGaugeTracksTheLatestAttempt) {
   std::vector<double> outside = anchor_hourly;
   outside[0] *= 1.5;
   EXPECT_FALSE(
-      index.repriced(std::span<const double>(outside)).has_value());
+      index.repriced(anchor.repriced("outside", "test", outside)).has_value());
   EXPECT_LT(headroom.value(), 0.0);
 }
 

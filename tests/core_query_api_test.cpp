@@ -1,7 +1,8 @@
-// Tests for the unified Query API: Query::make validates once and the
-// Query-taking sweep() is bit-identical to the legacy (demand,
-// constraints) overloads; SweepResult::route reports the path taken; the
-// celia_planner_route_* / celia_frontier_cache_* counters account for
+// Tests for the unified Query API: Query::make validates once and
+// Query::with_options re-options a query without changing its answer;
+// Query::index_eligible is the one index-eligibility rule; every entry
+// point gives a risk-aware query the same answer; SweepResult::route
+// reports the path taken; the celia_planner_route_* counters account for
 // every query exactly.
 
 #include <gtest/gtest.h>
@@ -9,12 +10,14 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <memory>
 #include <stdexcept>
 #include <vector>
 
 #include "cloud/instance_type.hpp"
 #include "core/enumerate.hpp"
 #include "core/frontier_index.hpp"
+#include "core/planner_engine.hpp"
 #include "core/query.hpp"
 #include "obs/metrics.hpp"
 #include "util/rng.hpp"
@@ -22,6 +25,7 @@
 namespace {
 
 using namespace celia::core;
+using celia::cloud::Catalog;
 namespace obs = celia::obs;
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
@@ -29,7 +33,7 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 struct RandomModel {
   ConfigurationSpace space;
   ResourceCapacity capacity;
-  std::vector<double> hourly;
+  Catalog catalog;
 };
 
 RandomModel random_model(celia::util::Xoshiro256& rng) {
@@ -47,9 +51,16 @@ RandomModel random_model(celia::util::Xoshiro256& rng) {
   std::vector<double> hourly(celia::cloud::catalog_size());
   for (auto& price : hourly) price = rng.uniform(0.05, 1.0);
 
-  return {ConfigurationSpace(max_counts),
-          ResourceCapacity(per_vcpu, celia::cloud::Catalog::ec2_table3()),
-          std::move(hourly)};
+  const Catalog& table3 = Catalog::ec2_table3();
+  return {ConfigurationSpace(max_counts), ResourceCapacity(per_vcpu, table3),
+          table3.repriced("random", "test", std::move(hourly))};
+}
+
+SweepResult sweep_model(const RandomModel& model, double demand,
+                        const Constraints& constraints,
+                        SweepOptions options = {}) {
+  return sweep(model.space, model.capacity, model.catalog,
+               Query::make(demand, constraints, options));
 }
 
 void expect_same_result(const SweepResult& expected, const SweepResult& got,
@@ -119,51 +130,115 @@ TEST(QueryApi, MakeRejectsMalformedQueries) {
   EXPECT_THROW(Query::make(1e12, bad), std::invalid_argument);
 }
 
-TEST(QueryApi, QueryOverloadBitIdenticalToLegacyOverload) {
+TEST(QueryApi, WithOptionsAnswersLikeMakeAndKeepsEveryDimension) {
+  // Re-optioning keeps the whole validated demand vector, not just the
+  // scalar view of dimension 0.
+  Constraints constraints;
+  constraints.deadline_seconds = 3600.0;
+  constraints.budget_dollars = 20.0;
+  celia::apps::DemandVector vector_demand;
+  vector_demand.values = {1e13, 4e6, 0.0};
+  SweepOptions sampled;
+  sampled.sample_stride = 7;
+  sampled.collect_pareto = false;
+  const Query reoptioned =
+      Query::make(vector_demand, constraints).with_options(sampled);
+  EXPECT_EQ(reoptioned.demand_vector(), vector_demand);
+  EXPECT_EQ(reoptioned.num_dimensions(), 3u);
+  EXPECT_EQ(reoptioned.constraints().deadline_seconds, 3600.0);
+  EXPECT_EQ(reoptioned.constraints().budget_dollars, 20.0);
+  EXPECT_EQ(reoptioned.options().sample_stride, 7u);
+  EXPECT_FALSE(reoptioned.options().collect_pareto);
+
+  // And a re-optioned query is answered exactly like one made with those
+  // options in the first place.
   celia::util::Xoshiro256 rng(20260805);
   for (int trial = 0; trial < 10; ++trial) {
     SCOPED_TRACE(trial);
     const RandomModel model = random_model(rng);
     const double demand = std::pow(10.0, rng.uniform(10.0, 15.0));
-    Constraints constraints;
-    constraints.deadline_seconds = demand / rng.uniform(1e9, 5e10);
-    constraints.budget_dollars = rng.uniform(0.01, 50.0);
+    Constraints random_constraints;
+    random_constraints.deadline_seconds = demand / rng.uniform(1e9, 5e10);
+    random_constraints.budget_dollars = rng.uniform(0.01, 50.0);
     SweepOptions options;
     options.sample_stride = trial % 3 == 0 ? 2 : 0;
     options.collect_pareto = trial % 2 == 0;
-
-    const SweepResult legacy = sweep(model.space, model.capacity,
-                                     model.hourly, demand, constraints,
-                                     options);
-    const SweepResult via_query =
-        sweep(model.space, model.capacity, model.hourly,
-              Query::make(demand, constraints, options));
-    expect_same_result(legacy, via_query, "explicit hourly costs");
-    EXPECT_EQ(legacy.route, QueryRoute::kSweep);
-    EXPECT_EQ(via_query.route, QueryRoute::kSweep);
-
-    // Catalog-priced convenience overloads agree the same way.
-    const SweepResult legacy_ec2 =
-        sweep(model.space, model.capacity, demand, constraints, options);
-    const SweepResult query_ec2 = sweep(model.space, model.capacity,
-                                        Query::make(demand, constraints,
-                                                    options));
-    expect_same_result(legacy_ec2, query_ec2, "EC2 catalog costs");
+    const SweepResult made =
+        sweep_model(model, demand, random_constraints, options);
+    const SweepResult via_with_options = sweep(
+        model.space, model.capacity, model.catalog,
+        Query::make(demand, random_constraints).with_options(options));
+    expect_same_result(made, via_with_options, "with_options");
+    EXPECT_EQ(via_with_options.route, QueryRoute::kSweep);
   }
 }
 
+TEST(QueryApi, IndexEligibilityIsOneRule) {
+  Constraints constraints;
+  constraints.deadline_seconds = 3600.0;
+  EXPECT_TRUE(Query::make(1e12, constraints).index_eligible());
+
+  // A spread without a confidence level (or vice versa) is deterministic.
+  Constraints spread_only = constraints;
+  spread_only.rate_sigma = 0.05;
+  EXPECT_TRUE(Query::make(1e12, spread_only).index_eligible());
+  Constraints confidence_only = constraints;
+  confidence_only.confidence_z = 1.645;
+  EXPECT_TRUE(Query::make(1e12, confidence_only).index_eligible());
+  Constraints risky = spread_only;
+  risky.confidence_z = 1.645;
+  EXPECT_FALSE(Query::make(1e12, risky).index_eligible());
+
+  SweepOptions sampled;
+  sampled.sample_stride = 10;
+  EXPECT_FALSE(Query::make(1e12, constraints, sampled).index_eligible());
+
+  celia::apps::DemandVector vector_demand;
+  vector_demand.values = {1e12, 5e6};
+  EXPECT_FALSE(Query::make(vector_demand, constraints).index_eligible());
+  EXPECT_TRUE(Query::make(celia::apps::DemandVector::scalar(1e12), constraints)
+                  .index_eligible());
+}
+
 TEST(QueryApi, RiskAwareQueriesAgreeThroughQueryRoute) {
-  celia::util::Xoshiro256 rng(31);
-  const RandomModel model = random_model(rng);
+  // A risk-aware query has one answer whichever entry point takes it: the
+  // plain sweep, a sweep() that must decline the index it is offered, and
+  // PlannerEngine, which routes by the same eligibility rule.
   Constraints risky;
   risky.deadline_seconds = 7200.0;
   risky.confidence_z = 1.645;
   risky.rate_sigma = 0.05;
-  const SweepResult legacy =
-      sweep(model.space, model.capacity, model.hourly, 1e13, risky);
-  const SweepResult via_query = sweep(model.space, model.capacity,
-                                      model.hourly, Query::make(1e13, risky));
-  expect_same_result(legacy, via_query, "risk-aware");
+  const Query query = Query::make(1e13, risky);
+  celia::util::Xoshiro256 rng(31);
+  for (int trial = 0; trial < 3; ++trial) {
+    SCOPED_TRACE(trial);
+    const RandomModel model = random_model(rng);
+    // The engine plans over its catalog's whole space, so the catalog
+    // carries the model's per-type limits.
+    const auto catalog = std::make_shared<const Catalog>(
+        model.catalog.with_limits("random", "test", model.space.max_counts()));
+    const ConfigurationSpace space = ConfigurationSpace::for_catalog(*catalog);
+    const ResourceCapacity capacity = model.capacity.rebound(*catalog);
+
+    const SweepResult direct = sweep(space, capacity, *catalog, query);
+    EXPECT_EQ(direct.route, QueryRoute::kSweep);
+    EXPECT_TRUE(direct.any_feasible);
+
+    const FrontierIndex index = FrontierIndex::build(space, capacity, *catalog);
+    SweepOptions prefer;
+    prefer.index_policy = IndexPolicy::Prefer(&index);
+    const SweepResult declined =
+        sweep(space, capacity, *catalog, query.with_options(prefer));
+    EXPECT_EQ(declined.route, QueryRoute::kSweepFallback);
+    expect_same_result(direct, declined, "sweep declining the index");
+
+    PlannerEngine engine;
+    engine.add_catalog("random", catalog);
+    const SweepResult planned = engine.plan("random", capacity, query);
+    EXPECT_EQ(planned.route, QueryRoute::kSweep);
+    expect_same_result(direct, planned, "PlannerEngine");
+    EXPECT_EQ(engine.num_cached_indexes(), 0u);
+  }
 }
 
 TEST(QueryApi, RouteReportsThePathTaken) {
@@ -172,36 +247,24 @@ TEST(QueryApi, RouteReportsThePathTaken) {
   Constraints constraints;
   constraints.deadline_seconds = 3600.0;
 
-  const SweepResult plain =
-      sweep(model.space, model.capacity, model.hourly, 1e12, constraints);
+  const SweepResult plain = sweep_model(model, 1e12, constraints);
   EXPECT_EQ(plain.route, QueryRoute::kSweep);
 
   const FrontierIndex index =
-      FrontierIndex::build(model.space, model.capacity, model.hourly);
+      FrontierIndex::build(model.space, model.capacity, model.catalog);
   SweepOptions options;
   options.index_policy = IndexPolicy::Prefer(&index);
-  const SweepResult via_index = sweep(model.space, model.capacity,
-                                      model.hourly, 1e12, constraints,
-                                      options);
+  const SweepResult via_index = sweep_model(model, 1e12, constraints, options);
   EXPECT_EQ(via_index.route, QueryRoute::kIndex);
-
-  options.index_policy = IndexPolicy::Shared();
-  const SweepResult via_shared = sweep(model.space, model.capacity,
-                                       model.hourly, 1e12, constraints,
-                                       options);
-  EXPECT_EQ(via_shared.route, QueryRoute::kSharedIndex);
 
   Constraints risky = constraints;
   risky.confidence_z = 1.645;
   risky.rate_sigma = 0.05;
-  options.index_policy = IndexPolicy::Prefer(&index);
-  const SweepResult fell_back = sweep(model.space, model.capacity,
-                                      model.hourly, 1e12, risky, options);
+  const SweepResult fell_back = sweep_model(model, 1e12, risky, options);
   EXPECT_EQ(fell_back.route, QueryRoute::kSweepFallback);
 
   EXPECT_EQ(query_route_name(QueryRoute::kSweep), "sweep");
   EXPECT_EQ(query_route_name(QueryRoute::kIndex), "index");
-  EXPECT_EQ(query_route_name(QueryRoute::kSharedIndex), "shared_index");
   EXPECT_EQ(query_route_name(QueryRoute::kSweepFallback), "sweep_fallback");
 }
 
@@ -210,8 +273,7 @@ TEST(QueryApi, PreferWithNullIndexThrows) {
   const RandomModel model = random_model(rng);
   SweepOptions options;
   options.index_policy = IndexPolicy::Prefer(nullptr);
-  EXPECT_THROW(sweep(model.space, model.capacity, model.hourly, 1e12,
-                     Constraints{}, options),
+  EXPECT_THROW(sweep_model(model, 1e12, Constraints{}, options),
                std::invalid_argument);
 }
 
@@ -219,7 +281,7 @@ TEST(QueryApi, RouteCountersAccountForEveryQuery) {
   celia::util::Xoshiro256 rng(43);
   const RandomModel model = random_model(rng);
   const FrontierIndex index =
-      FrontierIndex::build(model.space, model.capacity, model.hourly);
+      FrontierIndex::build(model.space, model.capacity, model.catalog);
   // Counters are process-wide, so assert on before/after deltas.
   obs::Counter& sweep_route = obs::counter("celia_planner_route_sweep_total");
   obs::Counter& index_route = obs::counter("celia_planner_route_index_total");
@@ -237,40 +299,14 @@ TEST(QueryApi, RouteCountersAccountForEveryQuery) {
   SweepOptions prefer;
   prefer.index_policy = IndexPolicy::Prefer(&index);
   for (int i = 0; i < 3; ++i) {
-    sweep(model.space, model.capacity, model.hourly, 1e12, constraints);
-    sweep(model.space, model.capacity, model.hourly, 1e12, constraints,
-          prefer);
+    sweep_model(model, 1e12, constraints);
+    sweep_model(model, 1e12, constraints, prefer);
   }
-  sweep(model.space, model.capacity, model.hourly, 1e12, risky, prefer);
+  sweep_model(model, 1e12, risky, prefer);
 
   EXPECT_EQ(sweep_route.value() - sweeps_before, 3u);
   EXPECT_EQ(index_route.value() - index_before, 3u);
   EXPECT_EQ(fallback_route.value() - fallback_before, 1u);
-}
-
-TEST(QueryApi, SharedIndexCacheCountsHitsAcrossADeadlineLadder) {
-  celia::util::Xoshiro256 rng(47);
-  const RandomModel model = random_model(rng);
-  obs::Counter& hits = obs::counter("celia_frontier_cache_hits_total");
-  obs::Counter& misses = obs::counter("celia_frontier_cache_misses_total");
-  // Prime the MRU cache so the ladder below is all hits, whatever models
-  // earlier tests left cached.
-  shared_frontier_index(model.space, model.capacity, model.hourly);
-  const std::uint64_t hits_before = hits.value();
-  const std::uint64_t misses_before = misses.value();
-
-  SweepOptions options;
-  options.index_policy = IndexPolicy::Shared();
-  constexpr int kLadder = 5;
-  for (int i = 0; i < kLadder; ++i) {
-    Constraints constraints;
-    constraints.deadline_seconds = 600.0 * (i + 1);
-    const SweepResult got = sweep(model.space, model.capacity, model.hourly,
-                                  1e12, constraints, options);
-    EXPECT_EQ(got.route, QueryRoute::kSharedIndex);
-  }
-  EXPECT_EQ(hits.value() - hits_before, static_cast<std::uint64_t>(kLadder));
-  EXPECT_EQ(misses.value(), misses_before);
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // Shared constraint validation (core/enumerate.hpp validate_query): every
-// planner entry point — sweep(), FrontierIndex::query(), recommend(),
-// Celia::select / min_cost_configuration — must reject NaN and negative
-// deadlines/budgets identically instead of silently sweeping garbage.
+// planner entry point — sweep(), FrontierIndex::query(), Celia::select /
+// min_cost_configuration — must reject NaN and negative deadlines/budgets
+// identically instead of silently sweeping garbage. The two query-taking
+// entry points receive a core::Query, so Query::make is where they reject.
 
 #include <gtest/gtest.h>
 
@@ -13,11 +14,12 @@
 #include "core/celia.hpp"
 #include "core/enumerate.hpp"
 #include "core/frontier_index.hpp"
-#include "core/recommend.hpp"
+#include "core/query.hpp"
 
 namespace {
 
 using namespace celia::core;
+using celia::cloud::Catalog;
 
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 constexpr double kInf = std::numeric_limits<double>::infinity();
@@ -25,7 +27,7 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 ResourceCapacity small_capacity() {
   std::vector<double> per_vcpu = {1.4e9, 1.4e9, 1.4e9, 1.3e9, 1.3e9,
                                   1.3e9, 1.1e9, 1.1e9, 1.1e9};
-  return ResourceCapacity(per_vcpu, celia::cloud::Catalog::ec2_table3());
+  return ResourceCapacity(per_vcpu, Catalog::ec2_table3());
 }
 
 /// Malformed (demand, constraints) pairs every entry point must reject.
@@ -79,41 +81,32 @@ TEST(QueryValidation, SweepRejectsMalformedQueries) {
   const ConfigurationSpace space(std::vector<int>(9, 1));
   const auto capacity = small_capacity();
   for (const auto& bad : bad_queries()) {
-    EXPECT_THROW(sweep(space, capacity, bad.demand, bad.constraints),
+    EXPECT_THROW(sweep(space, capacity, Catalog::ec2_table3(),
+                       Query::make(bad.demand, bad.constraints)),
                  std::invalid_argument)
         << "demand=" << bad.demand;
   }
   // A well-formed zero deadline sweeps fine and admits nothing.
   Constraints c;
   c.deadline_seconds = 0.0;
-  const auto result = sweep(space, capacity, 1e12, c);
+  const auto result =
+      sweep(space, capacity, Catalog::ec2_table3(), Query::make(1e12, c));
   EXPECT_FALSE(result.any_feasible);
 }
 
 TEST(QueryValidation, FrontierIndexQueryRejectsMalformedQueries) {
   const ConfigurationSpace space(std::vector<int>(9, 1));
   const auto capacity = small_capacity();
-  const FrontierIndex index = FrontierIndex::build(space, capacity);
+  const FrontierIndex index =
+      FrontierIndex::build(space, capacity, Catalog::ec2_table3());
   for (const auto& bad : bad_queries()) {
     // Risk-aware rejections overlap (the index refuses them anyway); the
     // malformed fields must throw regardless.
-    EXPECT_THROW(index.query(bad.demand, bad.constraints),
+    EXPECT_THROW(index.query(Query::make(bad.demand, bad.constraints)),
                  std::invalid_argument)
         << "demand=" << bad.demand;
   }
-  EXPECT_NO_THROW(index.query(1e12, Constraints{}));
-}
-
-TEST(QueryValidation, RecommendRejectsMalformedQueries) {
-  const ConfigurationSpace space(std::vector<int>(9, 1));
-  const auto capacity = small_capacity();
-  const std::vector<double> hourly = ec2_hourly_costs();
-  for (const auto& bad : bad_queries()) {
-    EXPECT_THROW(recommend(space, capacity, hourly, bad.demand,
-                           bad.constraints, PickStrategy::kBalanced),
-                 std::invalid_argument)
-        << "demand=" << bad.demand;
-  }
+  EXPECT_NO_THROW(index.query(Query::make(1e12, Constraints{})));
 }
 
 TEST(QueryValidation, CeliaEntryPointsRejectMalformedQueries) {

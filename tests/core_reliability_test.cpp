@@ -8,6 +8,7 @@
 #include <limits>
 
 #include "cloud/instance_type.hpp"
+#include "core/query.hpp"
 #include "core/reliability.hpp"
 
 namespace {
@@ -16,10 +17,14 @@ using namespace celia::core;
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+const celia::cloud::Catalog& table3() {
+  return celia::cloud::Catalog::ec2_table3();
+}
+
 ResourceCapacity test_capacity() {
   std::vector<double> per_vcpu = {1.4e9, 1.4e9, 1.4e9, 1.3e9, 1.3e9,
                                   1.3e9, 1.1e9, 1.1e9, 1.1e9};
-  return ResourceCapacity(per_vcpu, celia::cloud::Catalog::ec2_table3());
+  return ResourceCapacity(per_vcpu, table3());
 }
 
 TEST(ExpectedMakespan, FailNeverReducesToBase) {
@@ -109,14 +114,21 @@ TEST(Reliability, RejectsMalformedQueriesLikeSweep) {
   const ConfigurationSpace space(std::vector<int>(9, 1));
   const auto capacity = test_capacity();
   const ReliabilitySpec spec;
-  EXPECT_THROW(reliable_min_cost(space, capacity, -1.0, 3600.0, spec),
+  EXPECT_THROW(reliable_min_cost(space, capacity, table3(), -1.0, 3600.0, spec),
                std::invalid_argument);
   EXPECT_THROW(reliable_min_cost(
-                   space, capacity, 1e12,
+                   space, capacity, table3(), 1e12,
                    std::numeric_limits<double>::quiet_NaN(), spec),
                std::invalid_argument);
-  EXPECT_THROW(reliable_min_cost(space, capacity, 1e12, -1.0, spec),
+  EXPECT_THROW(reliable_min_cost(space, capacity, table3(), 1e12, -1.0, spec),
                std::invalid_argument);
+  // The capacity was characterized against Table III's limits; a catalog
+  // of other limits is a different structure.
+  const celia::cloud::Catalog other_limits = table3().with_limits(
+      "limit-1", "test", std::vector<int>(table3().size(), 1));
+  EXPECT_THROW(
+      reliable_min_cost(space, capacity, other_limits, 1e12, 3600.0, spec),
+      std::invalid_argument);
 }
 
 TEST(Reliability, FailNeverSpecMatchesPlainSweep) {
@@ -127,9 +139,10 @@ TEST(Reliability, FailNeverSpecMatchesPlainSweep) {
 
   Constraints constraints;
   constraints.deadline_seconds = deadline;
-  const SweepResult swept = sweep(space, capacity, demand, constraints);
-  const auto reliable = reliable_min_cost(space, capacity, demand, deadline,
-                                          ReliabilitySpec{});
+  const SweepResult swept =
+      sweep(space, capacity, table3(), Query::make(demand, constraints));
+  const auto reliable = reliable_min_cost(space, capacity, table3(), demand,
+                                          deadline, ReliabilitySpec{});
   ASSERT_TRUE(swept.any_feasible);
   ASSERT_TRUE(reliable.has_value());
   EXPECT_EQ(reliable->config_index, swept.min_cost.config_index);
@@ -139,6 +152,52 @@ TEST(Reliability, FailNeverSpecMatchesPlainSweep) {
   EXPECT_DOUBLE_EQ(reliable->expected_failures, 0.0);
 }
 
+TEST(Reliability, PricesComeFromTheCatalog) {
+  const ConfigurationSpace space(std::vector<int>(9, 2));
+  const auto capacity = test_capacity();
+  const double demand = 1e14;
+  const double deadline = 3600.0;
+  ReliabilitySpec spec;
+  spec.mtbf_seconds = 20 * 3600.0;
+  const auto at_table3 =
+      reliable_min_cost(space, capacity, table3(), demand, deadline, spec);
+  ASSERT_TRUE(at_table3.has_value());
+
+  // Doubling every price doubles every quote exactly: same pick, same
+  // times, twice the bill.
+  const celia::cloud::Catalog doubled_catalog =
+      table3().with_price_multiplier("doubled", "test", 2.0);
+  const auto doubled = reliable_min_cost(space, capacity, doubled_catalog,
+                                         demand, deadline, spec);
+  ASSERT_TRUE(doubled.has_value());
+  EXPECT_EQ(doubled->config_index, at_table3->config_index);
+  EXPECT_EQ(doubled->expected_seconds, at_table3->expected_seconds);
+  EXPECT_DOUBLE_EQ(doubled->base_cost, 2.0 * at_table3->base_cost);
+  EXPECT_DOUBLE_EQ(doubled->expected_cost, 2.0 * at_table3->expected_cost);
+
+  // A skewed repricing moves the fail-never pick exactly as the sweep over
+  // the same catalog moves it.
+  std::vector<double> skewed(table3().hourly_costs().begin(),
+                             table3().hourly_costs().end());
+  for (std::size_t i = 0; i < skewed.size(); i += 2) skewed[i] *= 3.0;
+  const celia::cloud::Catalog skewed_catalog =
+      table3().repriced("skewed", "test", skewed);
+  const auto reliable = reliable_min_cost(space, capacity, skewed_catalog,
+                                          demand, deadline, ReliabilitySpec{});
+  Constraints constraints;
+  constraints.deadline_seconds = deadline;
+  const SweepResult swept = sweep(space, capacity, skewed_catalog,
+                                  Query::make(demand, constraints));
+  ASSERT_TRUE(reliable.has_value());
+  ASSERT_TRUE(swept.any_feasible);
+  EXPECT_EQ(reliable->config_index, swept.min_cost.config_index);
+  EXPECT_DOUBLE_EQ(reliable->base_cost, swept.min_cost.cost);
+  const auto fail_never_table3 = reliable_min_cost(
+      space, capacity, table3(), demand, deadline, ReliabilitySpec{});
+  ASSERT_TRUE(fail_never_table3.has_value());
+  EXPECT_NE(reliable->config_index, fail_never_table3->config_index);
+}
+
 TEST(Reliability, FailureAwarePickIsMoreConservativeAndCostsMore) {
   const ConfigurationSpace space(std::vector<int>(9, 3));
   const auto capacity = test_capacity();
@@ -146,7 +205,8 @@ TEST(Reliability, FailureAwarePickIsMoreConservativeAndCostsMore) {
   // Deadline snug around the fail-never optimum so that pricing failures
   // in forces a faster (more expensive) configuration.
   const auto fail_never =
-      reliable_min_cost(space, capacity, demand, 7200.0, ReliabilitySpec{});
+      reliable_min_cost(space, capacity, table3(), demand, 7200.0,
+                        ReliabilitySpec{});
   ASSERT_TRUE(fail_never.has_value());
 
   ReliabilitySpec spec;
@@ -155,7 +215,7 @@ TEST(Reliability, FailureAwarePickIsMoreConservativeAndCostsMore) {
   spec.checkpoint_interval_seconds = 900.0;
   spec.checkpoint_write_seconds = 30.0;
   const auto aware =
-      reliable_min_cost(space, capacity, demand, 7200.0, spec);
+      reliable_min_cost(space, capacity, table3(), demand, 7200.0, spec);
   ASSERT_TRUE(aware.has_value());
   // The aware pick meets the deadline in expectation, with its base
   // strictly inside it (E[T] >= T0 always).
@@ -175,7 +235,7 @@ TEST(Reliability, SurvivabilityRequiresStrictlyMoreThanKNodes) {
   ReliabilitySpec spec;
   spec.survive_losses = 1;
   const auto point =
-      reliable_min_cost(space, capacity, demand, kInf, spec);
+      reliable_min_cost(space, capacity, table3(), demand, kInf, spec);
   ASSERT_TRUE(point.has_value());
   const Configuration config = space.decode(point->config_index);
   int instances = 0;
@@ -186,7 +246,7 @@ TEST(Reliability, SurvivabilityRequiresStrictlyMoreThanKNodes) {
   // is simply the cheapest multi-node one; compare against a tiny brute
   // force over the space.
   double best_cost = kInf;
-  const auto hourly = ec2_hourly_costs();
+  const auto hourly = table3().hourly_costs();
   for (std::uint64_t i = 0; i < space.size(); ++i) {
     const Configuration c = space.decode(i);
     int n = 0;
@@ -218,7 +278,8 @@ TEST(Reliability, SurvivabilityFiltersDeadlineEdgeConfigs) {
 
   const ConfigurationSpace three{{3, 0, 0, 0, 0, 0, 0, 0, 0}};
   ReliabilitySpec none;
-  const auto loose = reliable_min_cost(three, capacity, demand, deadline, none);
+  const auto loose =
+      reliable_min_cost(three, capacity, table3(), demand, deadline, none);
   ASSERT_TRUE(loose.has_value());
   EXPECT_EQ(three.decode(loose->config_index)[0], 3);
 
@@ -226,11 +287,13 @@ TEST(Reliability, SurvivabilityFiltersDeadlineEdgeConfigs) {
   ReliabilitySpec k1;
   k1.survive_losses = 1;
   EXPECT_FALSE(
-      reliable_min_cost(three, capacity, demand, deadline, k1).has_value());
+      reliable_min_cost(three, capacity, table3(), demand, deadline, k1)
+          .has_value());
 
   // A 4-node cap admits it again — and exactly at 4 nodes.
   const ConfigurationSpace four{{4, 0, 0, 0, 0, 0, 0, 0, 0}};
-  const auto tight = reliable_min_cost(four, capacity, demand, deadline, k1);
+  const auto tight =
+      reliable_min_cost(four, capacity, table3(), demand, deadline, k1);
   ASSERT_TRUE(tight.has_value());
   EXPECT_EQ(four.decode(tight->config_index)[0], 4);
 
@@ -238,7 +301,8 @@ TEST(Reliability, SurvivabilityFiltersDeadlineEdgeConfigs) {
   ReliabilitySpec k2;
   k2.survive_losses = 2;
   EXPECT_FALSE(
-      reliable_min_cost(four, capacity, demand, deadline, k2).has_value());
+      reliable_min_cost(four, capacity, table3(), demand, deadline, k2)
+          .has_value());
 }
 
 }  // namespace

@@ -10,14 +10,19 @@
 #include "cloud/vm.hpp"
 #include "core/capacity.hpp"
 #include "core/celia.hpp"
+#include "core/query.hpp"
 
 namespace {
 
 using namespace celia::core;
 using celia::cloud::CloudProvider;
 
+const celia::cloud::Catalog& table3() {
+  return celia::cloud::Catalog::ec2_table3();
+}
+
 ResourceCapacity flat_capacity() {
-  return ResourceCapacity(std::vector<double>(9, 1e9), celia::cloud::Catalog::ec2_table3());
+  return ResourceCapacity(std::vector<double>(9, 1e9), table3());
 }
 
 TEST(RobustSweep, ZeroZMatchesDeterministic) {
@@ -30,8 +35,10 @@ TEST(RobustSweep, ZeroZMatchesDeterministic) {
   zeroed.rate_sigma = 0.06;  // sigma without z must be ignored
   SweepOptions options;
   options.collect_pareto = false;
-  const auto a = sweep(space, capacity, 9e15, det, options);
-  const auto b = sweep(space, capacity, 9e15, zeroed, options);
+  const auto a =
+      sweep(space, capacity, table3(), Query::make(9e15, det, options));
+  const auto b =
+      sweep(space, capacity, table3(), Query::make(9e15, zeroed, options));
   EXPECT_EQ(a.feasible, b.feasible);
   EXPECT_EQ(a.min_cost.config_index, b.min_cost.config_index);
 }
@@ -47,7 +54,9 @@ TEST(RobustSweep, HigherConfidenceNeverCheaper) {
     constraints.deadline_seconds = 24 * 3600.0;
     constraints.confidence_z = z;
     constraints.rate_sigma = 0.06;
-    const auto result = sweep(space, capacity, 9e15, constraints, options);
+    const auto result =
+        sweep(space, capacity, table3(),
+              Query::make(9e15, constraints, options));
     ASSERT_TRUE(result.any_feasible) << "z=" << z;
     EXPECT_GE(result.min_cost.cost, previous_cost - 1e-9) << "z=" << z;
     previous_cost = result.min_cost.cost;
@@ -61,11 +70,13 @@ TEST(RobustSweep, FeasibleSetShrinksWithConfidence) {
   options.collect_pareto = false;
   Constraints det;
   det.deadline_seconds = 24 * 3600.0;
-  const auto loose = sweep(space, capacity, 9e15, det, options);
+  const auto loose =
+      sweep(space, capacity, table3(), Query::make(9e15, det, options));
   Constraints strict = det;
   strict.confidence_z = 2.0;
   strict.rate_sigma = 0.10;
-  const auto tight = sweep(space, capacity, 9e15, strict, options);
+  const auto tight =
+      sweep(space, capacity, table3(), Query::make(9e15, strict, options));
   EXPECT_LT(tight.feasible, loose.feasible);
 }
 
@@ -80,7 +91,9 @@ TEST(RobustSweep, PessimisticTimeMatchesHandComputation) {
   SweepOptions options;
   options.collect_pareto = false;
   const double demand = 1e15;
-  const auto result = sweep(space, capacity, demand, constraints, options);
+  const auto result =
+      sweep(space, capacity, table3(),
+            Query::make(demand, constraints, options));
   ASSERT_TRUE(result.any_feasible);
 
   // Check the reported seconds of a known configuration: [5,0,...,0]
@@ -99,7 +112,8 @@ TEST(RobustSweep, PessimisticTimeMatchesHandComputation) {
   (void)index;
   ConfigurationSpace tiny(std::vector<int>{5, 0, 0, 0, 0, 0, 0, 0, 0});
   const auto tiny_result =
-      sweep(tiny, capacity, demand, constraints, options);
+      sweep(tiny, capacity, table3(),
+            Query::make(demand, constraints, options));
   ASSERT_TRUE(tiny_result.any_feasible);
   // The last configuration in the tiny space is [5,0,...]; min_time picks
   // the largest capacity = 5 nodes.
@@ -116,7 +130,8 @@ TEST(RobustSweep, ImpossibleConfidenceFindsNothing) {
   constraints.rate_sigma = 0.5;
   SweepOptions options;
   options.collect_pareto = false;
-  const auto result = sweep(space, capacity, 9e15, constraints, options);
+  const auto result =
+      sweep(space, capacity, table3(), Query::make(9e15, constraints, options));
   EXPECT_EQ(result.feasible, 0u);
 }
 

@@ -3,7 +3,7 @@
 //
 //  1. A 1-D demand vector is the scalar model BIT FOR BIT — same doubles,
 //     same routing — across every planner entry point (sweep,
-//     FrontierIndex, recommend, PlannerEngine::plan), for all three seed
+//     FrontierIndex, PlannerEngine::plan), for all three seed
 //     applications. The hexfloat goldens below are captures from the
 //     scalar path (CloudProvider seed 2017, full measurement, T'=24 h,
 //     C'=$350); the galaxy row matches core_bit_identity_test.cpp.
@@ -12,7 +12,8 @@
 //     case: it must agree with the capacity's width, is index-ineligible
 //     (the staircase is demand-invariant only in 1-D), takes the
 //     observable sweep-fallback route, and computes completion time as
-//     the max over bottleneck dimensions.
+//     the max over bottleneck dimensions. PlannerEngine and PlannerService
+//     forward such a query unchanged to the sweep.
 
 #include <gtest/gtest.h>
 
@@ -25,8 +26,8 @@
 #include "core/frontier_index.hpp"
 #include "core/planner_engine.hpp"
 #include "core/query.hpp"
-#include "core/recommend.hpp"
 #include "core/time_cost.hpp"
+#include "serve/planner_service.hpp"
 
 namespace {
 
@@ -139,7 +140,7 @@ TEST(VectorDemand, OneDimQueriesRemainIndexEligible) {
   for (const auto& golden : kGoldens) {
     const Celia& celia = seed_celia(golden.app);
     const FrontierIndex index =
-        FrontierIndex::build(celia.space(), celia.capacity());
+        FrontierIndex::build(celia.space(), celia.capacity(), celia.catalog());
     SweepOptions options;
     options.index_policy = IndexPolicy::Prefer(&index);
     const Query query =
@@ -152,28 +153,6 @@ TEST(VectorDemand, OneDimQueriesRemainIndexEligible) {
     EXPECT_EQ(result.min_cost.config_index, golden.min_cost_index);
     EXPECT_EQ(result.min_cost.seconds, golden.min_cost_seconds);
     EXPECT_EQ(result.min_cost.cost, golden.min_cost_cost);
-  }
-}
-
-TEST(VectorDemand, RecommendVectorOverloadMatchesScalar) {
-  for (const auto& golden : kGoldens) {
-    const Celia& celia = seed_celia(golden.app);
-    const double demand = celia.predict_demand(golden.params);
-    for (const PickStrategy strategy :
-         {PickStrategy::kCheapest, PickStrategy::kFastest,
-          PickStrategy::kBalanced, PickStrategy::kKnee}) {
-      const auto via_scalar =
-          recommend(celia.space(), celia.capacity(), celia.hourly_costs(),
-                    demand, paper_constraints(), strategy);
-      const auto via_vector =
-          recommend(celia.space(), celia.capacity(), celia.hourly_costs(),
-                    DemandVector::scalar(demand), paper_constraints(),
-                    strategy);
-      ASSERT_TRUE(via_scalar && via_vector) << golden.app;
-      EXPECT_EQ(via_vector->config_index, via_scalar->config_index);
-      EXPECT_EQ(via_vector->seconds, via_scalar->seconds);
-      EXPECT_EQ(via_vector->cost, via_scalar->cost);
-    }
   }
 }
 
@@ -195,6 +174,52 @@ TEST(VectorDemand, PlannerEnginePlanMatchesScalar) {
     EXPECT_EQ(via_vector.min_cost.config_index, golden.min_cost_index);
     EXPECT_EQ(via_vector.min_cost.seconds, golden.min_cost_seconds);
     EXPECT_EQ(via_vector.min_cost.cost, golden.min_cost_cost);
+  }
+}
+
+TEST(VectorDemand, EngineAndServicePlanFourDimOltpLikeTheSweep) {
+  // A limit-2 Table III catalog keeps each 4-D sweep at 19,682
+  // configurations; the engine plans over the catalog's own space.
+  const auto catalog = std::make_shared<const Catalog>(
+      Catalog::ec2_table3().with_limits("oltp-limit2", "test",
+                                        std::vector<int>(9, 2)));
+  const ConfigurationSpace space = ConfigurationSpace::for_catalog(*catalog);
+  PlannerEngine engine;
+  engine.add_catalog("oltp", catalog);
+  celia::serve::ServiceOptions options;
+  options.num_workers = 0;  // caller-driven: drain_one() dispatches
+  celia::serve::PlannerService service(engine, options);
+
+  for (const auto& app : celia::apps::all_oltp_apps()) {
+    SCOPED_TRACE(app->name());
+    CloudProvider provider(2017);
+    const ResourceCapacity capacity =
+        characterize_vector_capacity(*app, provider).rebound(*catalog);
+    ASSERT_EQ(capacity.num_dimensions(), 4u);
+    Constraints constraints;
+    constraints.budget_dollars = 5.0;
+    const Query query =
+        Query::make(app->demand_vector({1e9, 0.5}), constraints);
+    const SweepResult oracle = sweep(space, capacity, *catalog, query);
+    ASSERT_TRUE(oracle.any_feasible);
+
+    const auto expect_oracle = [&](const SweepResult& got) {
+      EXPECT_EQ(got.route, oracle.route);
+      EXPECT_EQ(got.total, oracle.total);
+      EXPECT_EQ(got.feasible, oracle.feasible);
+      EXPECT_EQ(got.min_cost, oracle.min_cost);
+      EXPECT_EQ(got.min_time, oracle.min_time);
+      EXPECT_EQ(got.pareto, oracle.pareto);
+    };
+    expect_oracle(engine.plan("oltp", capacity, query));
+
+    std::future<celia::serve::ServeOutcome> answer =
+        service.submit({"tenant", "oltp", capacity, query, {}});
+    ASSERT_TRUE(service.drain_one());
+    const celia::serve::ServeOutcome outcome = answer.get();
+    ASSERT_EQ(outcome.status, celia::serve::ServeStatus::kPlanned)
+        << outcome.error;
+    expect_oracle(outcome.result);
   }
 }
 
@@ -233,7 +258,7 @@ TEST(VectorDemand, DimensionMismatchIsASchemaError) {
 TEST(VectorDemand, FrontierIndexRefusalNamesTheOffendingSchema) {
   const Celia& celia = seed_celia("galaxy");
   try {
-    FrontierIndex::build(celia.space(), two_dim_capacity());
+    FrontierIndex::build(celia.space(), two_dim_capacity(), celia.catalog());
     FAIL() << "multi-dimensional capacity must be refused";
   } catch (const std::invalid_argument& error) {
     // The message must name WHICH schema was refused, not just a count —
@@ -309,8 +334,15 @@ TEST(VectorDemand, SchemaQueryOverloadValidatesAgainstTheSchema) {
 TEST(VectorDemand, MultiDimQueriesTakeTheObservableSweepFallback) {
   const ResourceCapacity capacity = two_dim_capacity();
   const ConfigurationSpace space(std::vector<int>(9, 2));
+  // An index over the instruction dimension alone cannot answer a 2-D
+  // query: requesting it falls back to the sweep, visibly.
+  std::vector<double> instr(9);
+  for (std::size_t i = 0; i < 9; ++i) instr[i] = capacity.per_vcpu_rate(i);
+  const FrontierIndex scalar_index = FrontierIndex::build(
+      space, ResourceCapacity(instr, Catalog::ec2_table3()),
+      Catalog::ec2_table3());
   SweepOptions options;
-  options.index_policy = IndexPolicy::Shared();
+  options.index_policy = IndexPolicy::Prefer(&scalar_index);
   const SweepResult result =
       sweep(space, capacity, Catalog::ec2_table3(),
             Query::make(DemandVector{{1e13, 2e7}}, paper_constraints(),

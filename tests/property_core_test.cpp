@@ -10,6 +10,7 @@
 #include "cloud/pricing.hpp"
 #include "core/enumerate.hpp"
 #include "core/pareto.hpp"
+#include "core/query.hpp"
 #include "core/time_cost.hpp"
 #include "util/rng.hpp"
 
@@ -144,7 +145,8 @@ TEST_P(SweepEquivalence, FeasibleSetMatchesBruteForce) {
   const auto expected_pareto = pareto_filter(feasible);
 
   const SweepResult result =
-      sweep(space, capacity, param.demand, constraints);
+      sweep(space, capacity, celia::cloud::Catalog::ec2_table3(),
+            Query::make(param.demand, constraints));
   EXPECT_EQ(result.feasible, expected_feasible);
   ASSERT_EQ(result.pareto.size(), expected_pareto.size());
   for (std::size_t i = 0; i < expected_pareto.size(); ++i)
