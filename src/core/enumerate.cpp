@@ -4,6 +4,7 @@
 #include <array>
 #include <bit>
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -21,41 +22,50 @@ namespace celia::core {
 
 namespace {
 
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// One block's reduction. Points reach a block in ascending config_index,
+/// so an earlier point q with q.cost <= p.cost and q.seconds <= p.seconds
+/// also comes first in cheaper() order, and pareto_filter would drop p.
+/// `frontier` is therefore kept equal to pareto_filter of the points seen
+/// so far, online: ascending cost, strictly descending seconds. Its front
+/// is the block's cheaper() minimum and its back the faster() minimum.
 struct PartialResult {
   std::uint64_t feasible = 0;
-  bool any = false;
-  CostTimePoint min_cost;
-  CostTimePoint min_time;
-  std::vector<CostTimePoint> pareto_buffer;
-  std::uint64_t prune_threshold = 1 << 14;
+  std::vector<CostTimePoint> frontier;
+  /// The last frontier entry that rejected a point: any earlier point of
+  /// the block, even one since evicted, still proves dominance. Starts at
+  /// +inf, which no feasible (finite) point can be dominated by.
+  CostTimePoint dominator{0, kInf, kInf};
   std::vector<CostTimePoint> samples;
 
-  void note_feasible(const CostTimePoint& point, const SweepOptions& options) {
+  void note_feasible(const CostTimePoint& p, std::uint64_t sample_stride) {
     ++feasible;
-    if (!any) {
-      min_cost = min_time = point;
-      any = true;
-    } else {
-      // Points reach a block in ascending config_index, so keeping the
-      // first of an exact (cost, seconds) tie already applies cheaper() and
-      // faster()'s lowest-index rule; the per-point path skips that compare.
-      if (point.cost < min_cost.cost ||
-          (point.cost == min_cost.cost && point.seconds < min_cost.seconds))
-        min_cost = point;
-      if (point.seconds < min_time.seconds ||
-          (point.seconds == min_time.seconds && point.cost < min_time.cost))
-        min_time = point;
-    }
-    if (options.collect_pareto) {
-      pareto_buffer.push_back(point);
-      if (pareto_buffer.size() >= prune_threshold) {
-        pareto_buffer = pareto_filter(std::move(pareto_buffer));
-        prune_threshold = std::max<std::uint64_t>(
-            1 << 14, 2 * pareto_buffer.size());
+    if (sample_stride > 0 && feasible % sample_stride == 0)
+      samples.push_back(p);
+    if (dominator.cost <= p.cost && dominator.seconds <= p.seconds) return;
+    // The last entry no dearer than p is the fastest such entry; p is
+    // weakly dominated iff it is no slower. `<=` on both axes: an exact
+    // tie keeps the earlier (lower config_index) point.
+    auto first = std::upper_bound(
+        frontier.begin(), frontier.end(), p.cost,
+        [](double cost, const CostTimePoint& e) { return cost < e.cost; });
+    if (first != frontier.begin()) {
+      const CostTimePoint& no_dearer = *std::prev(first);
+      if (no_dearer.seconds <= p.seconds) {
+        dominator = no_dearer;
+        return;
       }
+      // An entry of equal cost is slower than p: p replaces it.
+      if (no_dearer.cost == p.cost) --first;
     }
-    if (options.sample_stride > 0 && feasible % options.sample_stride == 0)
-      samples.push_back(point);
+    // p joins, and evicts the dearer entries it weakly dominates: the run
+    // up to the first entry faster than p.
+    const auto last =
+        std::find_if(first, frontier.end(), [&](const CostTimePoint& e) {
+          return e.seconds < p.seconds;
+        });
+    frontier.insert(frontier.erase(first, last), p);
   }
 };
 
@@ -69,8 +79,8 @@ struct ClassifyScratch {
 };
 
 /// Visit the set bits of `mask` in ascending position order. Feasible hits
-/// must be consumed in index order — min-cost/min-time tie-breaks within a
-/// block and the sample stride observe the arrival sequence.
+/// must be consumed in index order — the block frontier's dominance rule
+/// and the sample stride observe the arrival sequence.
 template <typename OnFeasible>
 void for_each_set_bit(const std::uint64_t* mask, std::size_t n,
                       OnFeasible&& fn) {
@@ -313,11 +323,10 @@ SweepResult sweep(const ConfigurationSpace& space,
           if (hits == 0) return;
           for_each_set_bit(scratch->mask.data(), n, [&](std::size_t j) {
             partial.note_feasible(
-                {first + j, scratch->seconds[j], scratch->cost[j]}, options);
+                {first + j, scratch->seconds[j], scratch->cost[j]},
+                options.sample_stride);
           });
         });
-        if (options.collect_pareto)
-          partial.pareto_buffer = pareto_filter(std::move(partial.pareto_buffer));
 
         // Block-granularity instrumentation: the inner walk stays
         // untouched, so metrics cost O(blocks), not O(configurations).
@@ -328,23 +337,23 @@ SweepResult sweep(const ConfigurationSpace& space,
 
         std::lock_guard<std::mutex> lock(merge_mutex);
         result.feasible += partial.feasible;
-        if (partial.any) {
+        if (!partial.frontier.empty()) {
+          const CostTimePoint& min_cost = partial.frontier.front();
+          const CostTimePoint& min_time = partial.frontier.back();
           if (!result.any_feasible) {
-            result.min_cost = partial.min_cost;
-            result.min_time = partial.min_time;
+            result.min_cost = min_cost;
+            result.min_time = min_time;
             result.any_feasible = true;
           } else {
             // Blocks arrive in any order; the total order makes the merged
             // winner independent of it.
-            if (cheaper(partial.min_cost, result.min_cost))
-              result.min_cost = partial.min_cost;
-            if (faster(partial.min_time, result.min_time))
-              result.min_time = partial.min_time;
+            if (cheaper(min_cost, result.min_cost)) result.min_cost = min_cost;
+            if (faster(min_time, result.min_time)) result.min_time = min_time;
           }
+          if (options.collect_pareto)
+            merged_pareto.insert(merged_pareto.end(), partial.frontier.begin(),
+                                 partial.frontier.end());
         }
-        merged_pareto.insert(merged_pareto.end(),
-                             partial.pareto_buffer.begin(),
-                             partial.pareto_buffer.end());
         result.feasible_points.insert(result.feasible_points.end(),
                                       partial.samples.begin(),
                                       partial.samples.end());

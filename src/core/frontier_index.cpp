@@ -77,6 +77,11 @@ constexpr double kRetestSlack = 1e-9;
 /// the caller falls back to a full rebuild.
 constexpr std::size_t kMaxCandidates = std::size_t{1} << 22;
 constexpr std::size_t kMaxScreened = std::size_t{1} << 22;
+/// Build pass A re-prunes a block's staircase candidates once the entries
+/// accepted since the last prune reach this many plus the size of the
+/// staircase it produced. Any value is exact; small ones tighten the
+/// rejection bound sooner.
+constexpr std::size_t kRepruneAfter = 1024;
 
 /// The (max U, min slope) non-dominated staircase, returned ascending in U
 /// with (near-)non-decreasing slope. Near-ties within kSlopeMargin are all
@@ -344,7 +349,13 @@ FrontierIndex FrontierIndex::build(const ConfigurationSpace& space,
     store->s_fences = make_fences(std::move(s_sample), grid);
   }
 
-  // Pass A: per-block strip histograms + staircase candidates.
+  // Pass A: per-block strip histograms + staircase candidates. The final
+  // staircase_filter drops an entry iff its slope exceeds (1 + margin) x
+  // the minimum slope of all entries before it in the filter's order, and
+  // every entry of larger u comes before it. So an entry whose slope
+  // exceeds (1 + margin) x the minimum slope of the block's last pruned
+  // staircase above its u is rejected at once: the filter would drop it
+  // too, and dropping never-kept entries leaves its result unchanged.
   const auto blocks = parallel::split_range(0, n, pool.num_threads());
   struct BlockStats {
     std::vector<std::uint64_t> hist_u, hist_s;
@@ -359,18 +370,27 @@ FrontierIndex FrontierIndex::build(const ConfigurationSpace& space,
         BlockStats& local = stats[b];
         local.hist_u.assign(grid, 0);
         local.hist_s.assign(grid, 0);
-        std::size_t prune = 1 << 15;
+        // local.frontier = the last pruned staircase (its first `pruned`
+        // entries, ascending u) followed by the entries accepted since.
+        std::size_t pruned = 0;
+        std::vector<double> suffix_min = slope_suffix_min({});
         detail::walk_range(
             space, rates, hourly, zero_var, blocks[b],
             [&](std::uint64_t idx, double u, double cu, double /*v*/) {
               if (u <= 0) return;
+              const double slope = cu / u;
               ++local.hist_u[strip_of(store->u_fences, u)];
-              ++local.hist_s[strip_of(store->s_fences, cu / u)];
+              ++local.hist_s[strip_of(store->s_fences, slope)];
+              const std::span<const Entry> staircase(local.frontier.data(),
+                                                     pruned);
+              if (slope > (1.0 + kSlopeMargin) *
+                              suffix_min[frontier_above(staircase, u)])
+                return;
               local.frontier.push_back({u, cu, idx});
-              if (local.frontier.size() >= prune) {
+              if (local.frontier.size() >= 2 * pruned + kRepruneAfter) {
                 local.frontier = staircase_filter(std::move(local.frontier));
-                prune = std::max<std::size_t>(1 << 15,
-                                              2 * local.frontier.size());
+                pruned = local.frontier.size();
+                suffix_min = slope_suffix_min(local.frontier);
               }
             });
       }));

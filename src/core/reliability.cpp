@@ -78,10 +78,15 @@ std::optional<ReliablePoint> reliable_min_cost(
 
   std::mutex merge_mutex;
   std::optional<ReliablePoint> best;
+  // (expected cost, expected seconds, config_index): the lowest index wins
+  // an exact tie, so the answer does not depend on which block merges
+  // first (the cheaper() rule of core/pareto.hpp).
   const auto better = [](const ReliablePoint& a, const ReliablePoint& b) {
     if (a.expected_cost != b.expected_cost)
       return a.expected_cost < b.expected_cost;
-    return a.expected_seconds < b.expected_seconds;
+    if (a.expected_seconds != b.expected_seconds)
+      return a.expected_seconds < b.expected_seconds;
+    return a.config_index < b.config_index;
   };
 
   parallel::ForOptions for_options;

@@ -79,7 +79,9 @@ double expected_makespan(double base_seconds, int nodes,
 
 /// Cheapest configuration whose EXPECTED makespan meets the deadline and
 /// which survives the spec's k-node loss, priced with `catalog`.
-/// Exhaustive parallel sweep; ties break toward smaller expected time.
+/// Exhaustive parallel sweep; ties break toward smaller expected time,
+/// then toward the lowest config_index, so the pick is independent of the
+/// thread count.
 /// Returns nullopt when nothing qualifies. Throws std::invalid_argument on
 /// bad demand/deadline/spec or a catalog structurally incompatible with
 /// the capacity.

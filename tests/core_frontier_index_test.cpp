@@ -209,17 +209,33 @@ TEST(FrontierIndex, SingleTypeSpace) {
 }
 
 TEST(FrontierIndex, BuildIsDeterministic) {
+  // The build splits the space into one block per pool thread, and each
+  // block rejects staircase candidates online against its own partial
+  // staircase; the merged staircase must not depend on the split.
   celia::util::Xoshiro256 rng(99);
-  const RandomModel model = random_model(rng);
-  const FrontierIndex a =
-      FrontierIndex::build(model.space, model.capacity, model.catalog);
-  const FrontierIndex b =
-      FrontierIndex::build(model.space, model.capacity, model.catalog);
-  ASSERT_EQ(a.frontier().size(), b.frontier().size());
-  for (std::size_t i = 0; i < a.frontier().size(); ++i) {
-    EXPECT_EQ(a.frontier()[i].u, b.frontier()[i].u);
-    EXPECT_EQ(a.frontier()[i].cu, b.frontier()[i].cu);
-    EXPECT_EQ(a.frontier()[i].config_index, b.frontier()[i].config_index);
+  const RandomModel random = random_model(rng);
+  const RandomModel ties = tie_heavy_model();
+  for (const RandomModel* model : {&random, &ties}) {
+    SCOPED_TRACE(model == &ties ? "tie-heavy model" : "random model");
+    celia::parallel::ThreadPool one(1);
+    FrontierIndex::BuildOptions options;
+    options.pool = &one;
+    const FrontierIndex a = FrontierIndex::build(
+        model->space, model->capacity, model->catalog, options);
+    for (const std::size_t threads : {1, 2, 4}) {
+      SCOPED_TRACE(threads);
+      celia::parallel::ThreadPool pool(threads);
+      options.pool = &pool;
+      const FrontierIndex b = FrontierIndex::build(
+          model->space, model->capacity, model->catalog, options);
+      EXPECT_EQ(a.content_fingerprint(), b.content_fingerprint());
+      ASSERT_EQ(a.frontier().size(), b.frontier().size());
+      for (std::size_t i = 0; i < a.frontier().size(); ++i) {
+        EXPECT_EQ(a.frontier()[i].u, b.frontier()[i].u);
+        EXPECT_EQ(a.frontier()[i].cu, b.frontier()[i].cu);
+        EXPECT_EQ(a.frontier()[i].config_index, b.frontier()[i].config_index);
+      }
+    }
   }
 }
 

@@ -4,12 +4,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <string>
 
 #include "cloud/instance_type.hpp"
 #include "core/query.hpp"
 #include "core/reliability.hpp"
+#include "parallel/thread_pool.hpp"
 
 namespace {
 
@@ -303,6 +306,56 @@ TEST(Reliability, SurvivabilityFiltersDeadlineEdgeConfigs) {
   EXPECT_FALSE(
       reliable_min_cost(four, capacity, table3(), demand, deadline, k2)
           .has_value());
+}
+
+TEST(Reliability, ExactTiesPickTheLowestConfigIndexOnAnyThreadCount) {
+  // test_capacity() gives the three sizes of a family one per-vCPU rate
+  // and m4 prices are linear in size, so e.g. 2x m4.xlarge and 1x
+  // m4.2xlarge tie exactly in (cost, seconds). At these deadlines the
+  // min-cost pick belongs to a tie class of 3-4 configurations. On the
+  // limit-3 space they all fall in one 4-thread block; on its c4+m4 slice
+  // the 4-thread split puts them in different blocks.
+  const auto capacity = test_capacity();
+  celia::parallel::ThreadPool one(1), four(4);
+  const double demand = 1e14;
+  for (const ConfigurationSpace& space :
+       {ConfigurationSpace(std::vector<int>(9, 3)),
+        ConfigurationSpace({3, 3, 3, 3, 3, 3, 0, 0, 0})}) {
+    for (const double deadline : {1000.0, 1200.0, 1400.0}) {
+      SCOPED_TRACE(std::to_string(space.size()) + " configurations, T' " +
+                   std::to_string(deadline));
+      const auto serial =
+          reliable_min_cost(space, capacity, table3(), demand, deadline,
+                            ReliabilitySpec{}, &one);
+      const auto parallel =
+          reliable_min_cost(space, capacity, table3(), demand, deadline,
+                            ReliabilitySpec{}, &four);
+      ASSERT_TRUE(serial.has_value());
+      ASSERT_TRUE(parallel.has_value());
+      EXPECT_EQ(serial->config_index, parallel->config_index);
+
+      // Fail-never quotes are the sweep kernel's doubles, so the sampled
+      // sweep lists every member of the pick's tie class.
+      Constraints constraints;
+      constraints.deadline_seconds = deadline;
+      SweepOptions options;
+      options.sample_stride = 1;
+      options.collect_pareto = false;
+      const SweepResult all = sweep(space, capacity, table3(),
+                                    Query::make(demand, constraints, options));
+      std::uint64_t lowest = space.size();
+      int tie_class = 0;
+      for (const CostTimePoint& point : all.feasible_points) {
+        if (point.cost == serial->expected_cost &&
+            point.seconds == serial->expected_seconds) {
+          lowest = std::min(lowest, point.config_index);
+          ++tie_class;
+        }
+      }
+      EXPECT_GT(tie_class, 1);
+      EXPECT_EQ(serial->config_index, lowest);
+    }
+  }
 }
 
 }  // namespace
