@@ -196,31 +196,6 @@ void walk_range(const ConfigurationSpace& space, std::span<const double> rates,
   });
 }
 
-/// Multi-dimensional walk_range: body(index, u, cu) where u is a span of
-/// per-dimension capacities U_d = sum_i m_i W_{i,d}. Per-element adapter
-/// over a multi-row SweepPlan (suffix sums widened to one row per
-/// dimension). The scalar sweep does NOT route through this — 1-D queries
-/// take the 1-D plan verbatim, which is what keeps the degenerate case
-/// bit-identical.
-template <typename Body>
-void walk_range_multi(const ConfigurationSpace& space,
-                      std::span<const std::vector<double>> rate_rows,
-                      std::span<const double> hourly,
-                      parallel::BlockedRange range, Body&& body) {
-  if (range.empty()) return;
-  const SweepPlan plan(space, rate_rows, hourly);
-  const std::size_t dims = plan.num_dimensions();
-  std::vector<double> u(dims);
-  plan.walk(range, [&](std::uint64_t first, std::size_t n,
-                       const SweepPlan::Lanes& lanes) {
-    for (std::size_t j = 0; j < n; ++j) {
-      for (std::size_t d = 0; d < dims; ++d)
-        u[d] = lanes.u_rows[d * SweepPlan::kBatch + j];
-      body(first + j, std::span<const double>(u), lanes.cu[j]);
-    }
-  });
-}
-
 }  // namespace detail
 
 /// Evaluate a validated Query against every configuration; Algorithm 1

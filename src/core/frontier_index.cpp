@@ -68,15 +68,14 @@ constexpr double kWideKappa = 1.15;
 constexpr double kRepriceBand = 1.10;
 /// Relative slack absorbing fold/rounding differences whenever a bound
 /// derived from anchor-price slopes certifies something about new-price
-/// costs (reprice counting, with_limit screening). Orders of magnitude
-/// larger than the few-ulp error it covers, orders smaller than the
-/// kWideKappa / kRepriceBand headroom it spends.
+/// costs (the repriced count). Orders of magnitude larger than the few-ulp
+/// error it covers, orders smaller than the kWideKappa / kRepriceBand
+/// headroom it spends.
 constexpr double kRetestSlack = 1e-9;
-/// Caps keeping the delta structures bounded: a store whose candidate set
-/// (or with_limit screen) exceeds these is declared not delta-capable and
-/// the caller falls back to a full rebuild.
+/// Cap keeping the candidate set bounded: a store whose candidate set
+/// exceeds it is declared not delta-capable and the caller falls back to a
+/// full rebuild.
 constexpr std::size_t kMaxCandidates = std::size_t{1} << 22;
-constexpr std::size_t kMaxScreened = std::size_t{1} << 22;
 /// Build pass A re-prunes a block's staircase candidates once the entries
 /// accepted since the last prune reach this many plus the size of the
 /// staircase it produced. Any value is exact; small ones tighten the
@@ -187,8 +186,6 @@ struct FrontierIndex::GridStore {
   bool delta_capable = false;
 
   std::size_t bytes() const;
-  void rebuild_s_grouping();
-  void recount_matrix();
   void select_candidates(std::span<const Entry> frontier);
 };
 
@@ -201,44 +198,6 @@ std::size_t FrontierIndex::GridStore::bytes() const {
              sizeof(std::uint64_t) +
          ps_pos.capacity() * sizeof(std::uint32_t) +
          candidates.capacity() * sizeof(Entry);
-}
-
-/// Recompute s_offsets + ps_pos from the pu lanes (serial; delta paths
-/// only — the build fills the grouping during its scatter pass).
-void FrontierIndex::GridStore::rebuild_s_grouping() {
-  const std::size_t count = pu_u.size();
-  std::vector<std::uint64_t> hist(grid, 0);
-  for (std::size_t pos = 0; pos < count; ++pos)
-    ++hist[strip_of(s_fences, pu_cu[pos] / pu_u[pos])];
-  s_offsets.assign(grid + 1, 0);
-  for (std::size_t j = 0; j < grid; ++j)
-    s_offsets[j + 1] = s_offsets[j] + hist[j];
-  ps_pos.resize(count);
-  std::vector<std::uint64_t> cursor(s_offsets.begin(), s_offsets.end() - 1);
-  for (std::size_t pos = 0; pos < count; ++pos) {
-    const std::size_t j = strip_of(s_fences, pu_cu[pos] / pu_u[pos]);
-    ps_pos[cursor[j]++] = static_cast<std::uint32_t>(pos);
-  }
-}
-
-/// Recompute the (suffix-in-U, prefix-in-s) count matrix from the pu
-/// lanes (serial; delta paths only).
-void FrontierIndex::GridStore::recount_matrix() {
-  std::vector<std::uint64_t> hist2d(grid * grid, 0);
-  for (std::size_t i = 0; i < grid; ++i) {
-    std::uint64_t* row = hist2d.data() + i * grid;
-    for (std::uint64_t p = u_offsets[i]; p < u_offsets[i + 1]; ++p)
-      ++row[strip_of(s_fences, pu_cu[p] / pu_u[p])];
-  }
-  const std::size_t width = grid + 1;
-  matrix.assign(width * width, 0);
-  for (std::size_t i = grid; i-- > 0;) {
-    std::uint64_t run = 0;
-    for (std::size_t j = 1; j <= grid; ++j) {
-      run += hist2d[i * grid + (j - 1)];
-      matrix[i * width + j] = matrix[(i + 1) * width + j] + run;
-    }
-  }
 }
 
 /// Fill the wide candidate set W: every point whose slope is within
@@ -291,6 +250,17 @@ FrontierIndex FrontierIndex::build(const ConfigurationSpace& space,
         " dimensions) — the staircase is demand-invariant only in 1-D; "
         "vector queries take the sweep route");
 
+  std::vector<double> rates;
+  rates.reserve(capacity.num_types());
+  for (std::size_t i = 0; i < capacity.num_types(); ++i)
+    rates.push_back(capacity.rate(i));
+  return build_from(space, std::move(rates), catalog, options);
+}
+
+FrontierIndex FrontierIndex::build_from(const ConfigurationSpace& space,
+                                        std::vector<double> type_rates,
+                                        const cloud::Catalog& catalog,
+                                        const BuildOptions& options) {
   static obs::Counter& builds = obs::counter(
       "celia_frontier_builds_total", "FrontierIndex builds executed");
   static obs::Histogram& build_seconds = obs::histogram(
@@ -300,10 +270,10 @@ FrontierIndex FrontierIndex::build(const ConfigurationSpace& space,
   util::Stopwatch build_timer;
   obs::Span build_span("frontier_build", "planner");
 
+  const std::span<const double> hourly_costs = catalog.hourly_costs();
   FrontierIndex index;
   index.max_counts_ = space.max_counts();
-  for (std::size_t i = 0; i < capacity.num_types(); ++i)
-    index.rates_.push_back(capacity.rate(i));
+  index.rates_ = std::move(type_rates);
   index.hourly_.assign(hourly_costs.begin(), hourly_costs.end());
   index.catalog_fingerprint_ = catalog.fingerprint();
   index.total_ = space.size();
@@ -597,7 +567,6 @@ std::optional<FrontierIndex> FrontierIndex::repriced(
 
 std::optional<FrontierIndex> FrontierIndex::with_limit(
     std::size_t type, int new_max, const cloud::Catalog& to) const {
-  if (repriced_ || !delta_capable()) return std::nullopt;
   const std::size_t width = max_counts_.size();
   if (to.size() != width || type >= width) return std::nullopt;
   const std::span<const double> to_hourly = to.hourly_costs();
@@ -608,99 +577,8 @@ std::optional<FrontierIndex> FrontierIndex::with_limit(
     const int expected = i == type ? new_max : max_counts_[i];
     if (to_limits[i] != expected) return std::nullopt;
   }
-  const int old_max = max_counts_[type];
-  if (new_max < 0 || new_max >= old_max) return std::nullopt;
-
-  const GridStore& old_store = *store_;
-  const std::size_t grid = old_store.grid;
-
-  // Mixed-radix surgery: removing the digits d_type > new_max keeps every
-  // survivor's digit vector — hence its walk-computed U and Cu doubles —
-  // unchanged, and remaps indexes MONOTONICALLY (the walk order of the
-  // shrunken space is the old order restricted to survivors).
-  std::uint64_t scale_below = 1;
-  for (std::size_t i = 0; i < type; ++i)
-    scale_below *= static_cast<std::uint64_t>(max_counts_[i]) + 1;
-  const std::uint64_t radix_old = static_cast<std::uint64_t>(old_max) + 1;
-  const std::uint64_t radix_new = static_cast<std::uint64_t>(new_max) + 1;
-  const std::uint64_t block = scale_below * radix_old;
-  const auto remap = [&](std::uint64_t idx, std::uint64_t& out_idx) {
-    const std::uint64_t value = idx + 1;
-    const std::uint64_t high = value / block;
-    const std::uint64_t rem = value % block;
-    const std::uint64_t digit = rem / scale_below;
-    if (digit > static_cast<std::uint64_t>(new_max)) return false;
-    out_idx =
-        rem % scale_below + digit * scale_below + high * (scale_below * radix_new) - 1;
-    return true;
-  };
-
-  // Surviving wide candidates and their staircase E: the exactness screen
-  // below compares every survivor against E's slope envelope.
-  std::vector<Entry> surviving;
-  surviving.reserve(old_store.candidates.size());
-  for (const Entry& candidate : old_store.candidates) {
-    std::uint64_t remapped = 0;
-    if (remap(candidate.config_index, remapped))
-      surviving.push_back({candidate.u, candidate.cu, remapped});
-  }
-  const std::vector<Entry> screen_stairs = staircase_filter(surviving);
-  const std::vector<double> screen_sm = slope_suffix_min(screen_stairs);
-
-  // One pass over the point store: drop non-survivors, keep strip order
-  // (which preserves in-strip walk order under a monotone remap), and
-  // screen for points the true new staircase could keep. A survivor can be
-  // kept by a from-scratch filter only if its slope is within kSlopeMargin
-  // of the envelope over survivors ABOVE it, which E's suffix-min bounds
-  // from above — so filtering (surviving candidates + screened extras)
-  // reproduces the from-scratch staircase exactly, no envelope-rise
-  // heuristics needed. The screen admits everything above E's top entry
-  // (suffix-min +inf), which covers the new global-max-U region.
-  auto next = std::make_shared<GridStore>();
-  next->grid = grid;
-  next->u_fences = old_store.u_fences;
-  next->s_fences = old_store.s_fences;
-  next->anchor_hourly = old_store.anchor_hourly;
-  next->u_offsets.assign(grid + 1, 0);
-  std::vector<Entry> extras;
-  for (std::size_t i = 0; i < grid; ++i) {
-    next->u_offsets[i] = next->pu_u.size();
-    for (std::uint64_t p = old_store.u_offsets[i];
-         p < old_store.u_offsets[i + 1]; ++p) {
-      std::uint64_t remapped = 0;
-      if (!remap(old_store.pu_idx[p], remapped)) continue;
-      const double u = old_store.pu_u[p];
-      const double cu = old_store.pu_cu[p];
-      next->pu_u.push_back(u);
-      next->pu_cu.push_back(cu);
-      next->pu_idx.push_back(remapped);
-      const double env = screen_sm[frontier_above(screen_stairs, u)];
-      if (cu / u <= env * (1.0 + kRetestSlack)) {
-        if (extras.size() >= kMaxScreened) return std::nullopt;
-        extras.push_back({u, cu, remapped});
-      }
-    }
-  }
-  next->u_offsets[grid] = next->pu_u.size();
-  next->rebuild_s_grouping();
-  next->recount_matrix();
-
-  surviving.insert(surviving.end(), extras.begin(), extras.end());
-
-  FrontierIndex out;
-  out.max_counts_ = max_counts_;
-  out.max_counts_[type] = new_max;
-  out.rates_ = rates_;
-  out.hourly_ = hourly_;
-  out.catalog_fingerprint_ = to.fingerprint();
-  out.total_ = (total_ + 1) / radix_old * radix_new - 1;
-  out.positive_ = next->pu_u.size();
-  out.grid_ = grid;
-  out.frontier_ = staircase_filter(std::move(surviving));
-  // The result is a fresh anchor: reselect W so further deltas chain.
-  next->select_candidates(out.frontier_);
-  out.store_ = std::move(next);
-  return out;
+  if (new_max < 0 || new_max >= max_counts_[type]) return std::nullopt;
+  return build_from(ConfigurationSpace::for_catalog(to), rates_, to, {});
 }
 
 // --- Queries ---------------------------------------------------------------
@@ -906,9 +784,9 @@ SweepResult FrontierIndex::query(const Query& query) const {
 
 std::size_t FrontierIndex::memory_bytes() const {
   std::size_t bytes = frontier_.capacity() * sizeof(Entry);
-  // A repriced index SHARES its anchor's store; charging the shared bytes
-  // to the anchor alone keeps cache accounting from double-counting.
-  if (store_ && !repriced_) bytes += store_->bytes();
+  // A repriced index shares its anchor's store and keeps it alive once the
+  // anchor is gone, so every index that holds the store counts it.
+  if (store_) bytes += store_->bytes();
   return bytes;
 }
 

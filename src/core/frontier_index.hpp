@@ -41,28 +41,20 @@
 // DELTA MAINTENANCE (see DESIGN.md §13): the build also records a compact
 // structure-of-arrays point store (per-strip U/Cu/config-index lanes) and
 // a WIDE staircase candidate set — every point whose anchor slope is
-// within kWideKappa of the staircase envelope at its capacity. Two catalog
-// edits can then be absorbed without re-walking the space:
-//
-//  * repriced(): price-only changes whose per-type ratios to the ANCHOR
-//    prices stay inside a bounded band. The new staircase is recomputed
-//    from the candidate set with each candidate's Cu re-derived by the
-//    canonical walk fold (bit-identical to what a from-scratch build's
-//    walk would produce), and a closure argument over the band guarantees
-//    every from-scratch survivor is a candidate — so the delta staircase
-//    equals the from-scratch staircase bit for bit. Feasible counts reuse
-//    the anchor grid: s-strips that certainly pass/fail under the ratio
-//    band are counted in bulk, the narrow middle band is re-tested
-//    per-point with exact fold-derived costs.
-//  * with_limit(): a single type's limit DECREASE. Configuration indexes
-//    remap monotonically, so the point store is filtered in place and the
-//    grid recounted without a walk; the staircase is re-filtered from the
-//    surviving candidates and verified against an envelope-rise bound
-//    (if dropping points uncovered configurations outside the candidate
-//    set, the delta refuses and the caller falls back to a full rebuild).
-//
-// Both return std::nullopt whenever the edit falls outside their provable
-// envelope; callers (PlannerEngine) treat nullopt as "full rebuild".
+// within kWideKappa of the staircase envelope at its capacity. repriced()
+// absorbs a price-only catalog edit without re-walking the space, as long
+// as the per-type ratios to the ANCHOR prices stay inside a bounded band.
+// The new staircase is recomputed from the candidate set with each
+// candidate's Cu re-derived by the canonical walk fold (bit-identical to
+// what a from-scratch build's walk would produce), and a closure argument
+// over the band guarantees every from-scratch survivor is a candidate — so
+// the delta staircase equals the from-scratch staircase bit for bit.
+// Feasible counts reuse the anchor grid: s-strips that certainly
+// pass/fail under the ratio band are counted in bulk, the narrow middle
+// band is re-tested per-point with exact fold-derived costs. repriced()
+// returns std::nullopt whenever the edit falls outside that envelope;
+// callers (PlannerEngine) treat nullopt as "full rebuild". Any other
+// catalog edit is a rebuild.
 
 #include <cstdint>
 #include <memory>
@@ -125,6 +117,9 @@ class FrontierIndex {
   /// Configurations with U > 0 (the only ones any query can return).
   std::uint64_t attainable_configurations() const { return positive_; }
   std::size_t grid_resolution() const { return grid_; }
+  /// Bytes held by the staircase plus the point store. A repriced index
+  /// counts the store it shares with its anchor too, so two indexes that
+  /// share one store count it once each.
   std::size_t memory_bytes() const;
 
   /// Full fingerprint of the catalog this index was built (or delta-
@@ -142,12 +137,12 @@ class FrontierIndex {
   // --- Delta maintenance ---------------------------------------------------
 
   /// True when the build retained the point store + wide candidate set
-  /// that repriced()/with_limit() need (a degenerate space can exceed the
-  /// candidate cap, in which case deltas refuse and callers rebuild).
+  /// that repriced() needs (a degenerate space can exceed the candidate
+  /// cap, in which case repriced() refuses and callers rebuild).
   bool delta_capable() const;
 
   /// True for an index produced by repriced() (its point store still
-  /// carries the anchor prices; with_limit() requires a pristine index).
+  /// carries the anchor prices).
   bool is_repriced() const;
 
   /// Price-only delta: same space, same rates, the prices of `to`, which
@@ -159,15 +154,12 @@ class FrontierIndex {
   /// O(candidates), never walks the space.
   std::optional<FrontierIndex> repriced(const cloud::Catalog& to) const;
 
-  /// Single-axis delta: type `type`'s instance limit decreases to
-  /// `new_max`, and `to` must differ from the anchor catalog only in that
-  /// limit (same types, same prices). Filters + remaps the point store
-  /// (one pass, no walk), recounts the grid and re-filters the staircase
-  /// from the surviving candidates; the result is pinned to
-  /// `to.fingerprint()`. Returns nullopt when `to` differs elsewhere, the
-  /// edit is an increase, the index is repriced or not delta-capable, the
-  /// shrunken space is empty, or the envelope-rise verification cannot
-  /// prove the filtered candidate set still covers the new staircase.
+  /// Single-axis limit decrease: `to` must differ from this index's
+  /// catalog only in type `type`'s limit, lowered to `new_max` (same
+  /// types, same prices). Builds over `to` from scratch on the default
+  /// pool, so the result equals FrontierIndex::build for `to` and the same
+  /// rates. Returns nullopt when `to` differs elsewhere, `type` is out of
+  /// range or the edit is not a decrease.
   std::optional<FrontierIndex> with_limit(std::size_t type, int new_max,
                                           const cloud::Catalog& to) const;
 
@@ -185,6 +177,13 @@ class FrontierIndex {
   struct GridStore;
 
   FrontierIndex() = default;
+
+  /// The build passes over `space` at `catalog`'s prices, with one
+  /// capacity rate per type; build() calls it after its capacity checks.
+  static FrontierIndex build_from(const ConfigurationSpace& space,
+                                  std::vector<double> type_rates,
+                                  const cloud::Catalog& catalog,
+                                  const BuildOptions& options);
 
   std::uint64_t count_feasible(double demand, double deadline_seconds,
                                double budget_dollars) const;

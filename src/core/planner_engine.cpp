@@ -1,6 +1,7 @@
 #include "core/planner_engine.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -30,9 +31,6 @@ struct EngineCounters {
   obs::Counter& truncated = obs::counter(
       "celia_planner_engine_truncated_sweeps_total",
       "PlannerEngine queries answered by a best-effort truncated sweep");
-  obs::Counter& evictions = obs::counter(
-      "celia_planner_engine_index_evictions_total",
-      "Cached FrontierIndexes evicted by the LRU memory bound");
   obs::Counter& replaces = obs::counter(
       "celia_planner_engine_catalog_replaces_total",
       "Catalog snapshots replaced under an existing PlannerEngine name");
@@ -40,15 +38,10 @@ struct EngineCounters {
       "celia_planner_engine_delta_rescale_total",
       "Catalog replaces classified as price-only: cached staircases "
       "rescaled without a walk (FrontierIndex::repriced)");
-  obs::Counter& delta_axis = obs::counter(
-      "celia_planner_engine_delta_axis_total",
-      "Catalog replaces classified as a single-type limit decrease: cached "
-      "indexes filtered along the one affected axis "
-      "(FrontierIndex::with_limit)");
   obs::Counter& delta_rebuild = obs::counter(
       "celia_planner_engine_delta_rebuild_total",
-      "Catalog replaces classified as structural: cached indexes dropped, "
-      "the next query rebuilds from scratch");
+      "Catalog replaces that changed types or limits: cached indexes "
+      "dropped, the next query rebuilds from scratch");
 };
 
 EngineCounters& engine_counters() {
@@ -95,47 +88,6 @@ void remap_result(SweepResult& result, const ConfigurationSpace& truncated,
   for (CostTimePoint& point : result.feasible_points) remap(point);
 }
 
-/// Classification of one catalog replace (see add_catalog's doc comment).
-struct ReplaceEdit {
-  enum class Kind { kRescale, kAxis, kRebuild } kind = Kind::kRebuild;
-  std::size_t axis_type = 0;  // kAxis only
-  int axis_max = 0;           // kAxis only
-};
-
-ReplaceEdit classify_replace(const cloud::Catalog& from,
-                             const cloud::Catalog& to) {
-  ReplaceEdit edit;
-  // Price-only: the price-free identity (types + limits) is unchanged.
-  // Covers the trivial replace-with-identical-catalog case too.
-  if (from.structure_fingerprint() == to.structure_fingerprint()) {
-    edit.kind = ReplaceEdit::Kind::kRescale;
-    return edit;
-  }
-  if (from.size() != to.size()) return edit;
-  const std::span<const double> from_prices = from.hourly_costs();
-  const std::span<const double> to_prices = to.hourly_costs();
-  for (std::size_t i = 0; i < from.size(); ++i)
-    if (from_prices[i] != to_prices[i]) return edit;
-  // Exactly one limit changed, and it decreased.
-  std::size_t changed = from.size();
-  for (std::size_t i = 0; i < from.size(); ++i) {
-    if (from.limit(i) == to.limit(i)) continue;
-    if (changed != from.size()) return edit;  // second differing limit
-    changed = i;
-  }
-  if (changed == from.size() || to.limit(changed) >= from.limit(changed))
-    return edit;
-  // Same TYPES: re-deriving `from`'s structure at `to`'s limits must land
-  // on `to`'s structure fingerprint (the hash covers types + limits).
-  if (from.with_limits(to.name(), to.region(), to.limits())
-          .structure_fingerprint() != to.structure_fingerprint())
-    return edit;
-  edit.kind = ReplaceEdit::Kind::kAxis;
-  edit.axis_type = changed;
-  edit.axis_max = to.limit(changed);
-  return edit;
-}
-
 }  // namespace
 
 void PlannerEngine::add_catalog(std::string name,
@@ -146,108 +98,77 @@ void PlannerEngine::add_catalog(std::string name,
   if (!catalog)
     throw std::invalid_argument("PlannerEngine: null catalog for '" + name +
                                 "'");
-  std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = std::find_if(
-      catalogs_.begin(), catalogs_.end(),
-      [&](const auto& entry) { return entry.first == name; });
-  if (it == catalogs_.end()) {
-    catalogs_.emplace_back(std::move(name), std::move(catalog));
-    return;
+  const auto named = [&](const auto& entry) { return entry.first == name; };
+  std::lock_guard<std::mutex> replacing(replace_mutex_);
+  std::shared_ptr<const cloud::Catalog> old_snapshot;
+  std::vector<std::shared_ptr<const FrontierIndex>> old_indexes;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    const auto it = std::find_if(catalogs_.begin(), catalogs_.end(), named);
+    if (it == catalogs_.end()) {
+      catalogs_.emplace_back(std::move(name), std::move(catalog));
+      return;
+    }
+    if (!replace)
+      throw std::invalid_argument("PlannerEngine: catalog '" + name +
+                                  "' is already registered");
+    old_snapshot = it->second;
+    for (const auto& index : indexes_)
+      if (index->catalog_fingerprint() == old_snapshot->fingerprint())
+        old_indexes.push_back(index);
   }
-  if (!replace)
-    throw std::invalid_argument("PlannerEngine: catalog '" + name +
-                                "' is already registered");
 
   // ---- Prepare phase (may throw; engine state untouched) ----------------
   //
-  // Classification and delta derivation run into locals BEFORE any counter
-  // bumps or cache edits, so a throw anywhere in here — including the
-  // test-only fault-injection hook — leaves the engine exactly as it was
-  // (strong exception safety, pinned by the FrontierDelta failure-
-  // injection test).
-  const std::shared_ptr<const cloud::Catalog> old_snapshot = it->second;
+  // The reprices run into locals without the engine lock, so plan() keeps
+  // answering at the old snapshot meanwhile; replace_mutex_ keeps every
+  // other replace out. A throw anywhere in here — including the test-only
+  // fault-injection hook — leaves the engine exactly as it was (strong
+  // exception safety, pinned by the FrontierDelta failure-injection test).
   const std::uint64_t old_fingerprint = old_snapshot->fingerprint();
-  const std::uint64_t new_fingerprint = catalog->fingerprint();
-
-  const ReplaceEdit edit = classify_replace(*old_snapshot, *catalog);
-
-  // Delta-derive indexes for the new snapshot from the old snapshot's
-  // cached ones — no configuration walk. An entry whose delta refuses
-  // (nullopt) is simply not derived; it gets evicted below and the next
-  // query rebuilds.
-  std::vector<CachedIndex> derived;
-  if (new_fingerprint != old_fingerprint &&
-      edit.kind != ReplaceEdit::Kind::kRebuild) {
-    for (const CachedIndex& cached : indexes_) {
-      if (cached.index->catalog_fingerprint() != old_fingerprint) continue;
-      std::optional<FrontierIndex> next =
-          edit.kind == ReplaceEdit::Kind::kRescale
-              ? cached.index->repriced(*catalog)
-              : cached.index->with_limit(edit.axis_type, edit.axis_max,
-                                         *catalog);
+  const bool price_only = old_snapshot->structure_fingerprint() ==
+                          catalog->structure_fingerprint();
+  // An index whose reprice refuses (nullopt) is not carried over; it is
+  // evicted below and the next query rebuilds.
+  std::vector<std::shared_ptr<const FrontierIndex>> repriced;
+  if (price_only && catalog->fingerprint() != old_fingerprint) {
+    for (const auto& index : old_indexes) {
+      std::optional<FrontierIndex> next = index->repriced(*catalog);
       if (options_.delta_fault_injection)
-        options_.delta_fault_injection(derived.size());
-      if (!next) continue;
-      auto built = std::make_shared<const FrontierIndex>(std::move(*next));
-      const std::size_t bytes = built->memory_bytes();
-      derived.push_back({std::move(built), bytes, 0});
+        options_.delta_fault_injection(repriced.size());
+      if (next)
+        repriced.push_back(
+            std::make_shared<const FrontierIndex>(std::move(*next)));
     }
   }
+
+  std::lock_guard<std::mutex> lock(mutex_);
   // The commit below must not throw, so take the one allocation that
-  // could (push_back growth) here.
-  indexes_.reserve(indexes_.size() + derived.size());
+  // could (push_back growth) first.
+  indexes_.reserve(indexes_.size() + repriced.size());
 
   // ---- Commit phase (no-throw) ------------------------------------------
   EngineCounters& counters = engine_counters();
   counters.replaces.add(1);
-  switch (edit.kind) {
-    case ReplaceEdit::Kind::kRescale:
-      counters.delta_rescale.add(1);
-      break;
-    case ReplaceEdit::Kind::kAxis:
-      counters.delta_axis.add(1);
-      break;
-    case ReplaceEdit::Kind::kRebuild:
-      counters.delta_rebuild.add(1);
-      break;
-  }
-  it->second = catalog;
-  for (CachedIndex& entry : derived) {
-    entry.last_used = ++use_tick_;
-    cache_bytes_ += entry.bytes;
-    indexes_.push_back(std::move(entry));
-  }
+  (price_only ? counters.delta_rescale : counters.delta_rebuild).add(1);
+  std::find_if(catalogs_.begin(), catalogs_.end(), named)->second =
+      std::move(catalog);
+  for (auto& index : repriced) indexes_.push_back(std::move(index));
 
   // Drop the replaced snapshot's cached indexes, unless another name still
   // serves the same catalog (same full fingerprint = same prices + identity).
-  const bool still_referenced = std::any_of(
-      catalogs_.begin(), catalogs_.end(), [&](const auto& entry) {
-        return entry.second->fingerprint() == old_fingerprint;
-      });
-  if (!still_referenced) {
-    std::erase_if(indexes_, [&](const CachedIndex& cached) {
-      if (cached.index->catalog_fingerprint() != old_fingerprint)
-        return false;
-      cache_bytes_ -= cached.bytes;
-      return true;
+  if (!served_locked(old_fingerprint))
+    std::erase_if(indexes_, [&](const auto& index) {
+      return index->catalog_fingerprint() == old_fingerprint;
     });
-  }
-  evict_lru_locked();
 }
 
-void PlannerEngine::evict_lru_locked() {
-  while (options_.max_index_cache_bytes > 0 &&
-         cache_bytes_ > options_.max_index_cache_bytes &&
-         indexes_.size() > 1) {
-    const auto victim = std::min_element(
-        indexes_.begin(), indexes_.end(),
-        [](const CachedIndex& a, const CachedIndex& b) {
-          return a.last_used < b.last_used;
-        });
-    cache_bytes_ -= victim->bytes;
-    indexes_.erase(victim);
-    engine_counters().evictions.add(1);
-  }
+bool PlannerEngine::served_locked(std::uint64_t catalog_fingerprint) const {
+  return std::any_of(catalogs_.begin(), catalogs_.end(),
+                     [&](const auto& entry) {
+                       return entry.second->fingerprint() ==
+                              catalog_fingerprint;
+                     });
 }
 
 std::shared_ptr<const cloud::Catalog> PlannerEngine::catalog_locked(
@@ -284,7 +205,9 @@ std::size_t PlannerEngine::num_cached_indexes() const {
 
 std::size_t PlannerEngine::cached_index_bytes() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return cache_bytes_;
+  std::size_t bytes = 0;
+  for (const auto& index : indexes_) bytes += index->memory_bytes();
+  return bytes;
 }
 
 SweepResult PlannerEngine::plan(std::string_view catalog_name,
@@ -355,60 +278,83 @@ SweepResult PlannerEngine::plan_impl(const cloud::Catalog& catalog,
     return sweep(space, capacity, catalog, sweep_query);
   }
 
+  // One lookup decides this query's part: answer from the cache, wait for
+  // a build another query has in flight, or register and run the build
+  // itself. Only a query whose budget affords a build waits or builds.
+  const bool build_fits = remaining >= budget.index_build_cost_seconds;
   std::shared_ptr<const FrontierIndex> index;
+  std::shared_future<std::shared_ptr<const FrontierIndex>> in_flight;
+  std::optional<std::promise<std::shared_ptr<const FrontierIndex>>> promise;
+  std::list<PendingBuild>::iterator mine;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    for (CachedIndex& cached : indexes_) {
-      if (cached.index->matches(space, capacity, catalog)) {
-        cached.last_used = ++use_tick_;
-        index = cached.index;
+    for (const auto& cached : indexes_) {
+      if (cached->matches(space, capacity, catalog)) {
+        index = cached;
         break;
+      }
+    }
+    if (!index && build_fits) {
+      std::vector<double> rates(capacity.num_types());
+      for (std::size_t i = 0; i < rates.size(); ++i)
+        rates[i] = capacity.rate(i);
+      const auto same = std::find_if(
+          pending_.begin(), pending_.end(), [&](const PendingBuild& build) {
+            return build.catalog_fingerprint == catalog.fingerprint() &&
+                   build.max_counts == space.max_counts() &&
+                   build.rates == rates;
+          });
+      if (same != pending_.end()) {
+        in_flight = same->index;
+      } else {
+        promise.emplace();
+        mine = pending_.insert(
+            pending_.end(),
+            {catalog.fingerprint(), space.max_counts(), std::move(rates),
+             promise->get_future().share()});
       }
     }
   }
-  if (index) {
+  if (index || in_flight.valid()) {
     counters.index_hits.add(1);
-  } else {
-    // No cached index: walk the degradation ladder. Building is the best
-    // long-term answer but also the most expensive step — under a tight
-    // budget fall back to a fresh sweep, then to a truncated one.
-    if (remaining < budget.index_build_cost_seconds) {
-      if (!sweep_fits) return truncated_sweep();
-      counters.degraded.add(1);
-      SweepResult result = sweep(space, capacity, catalog, sweep_query);
-      result.route = QueryRoute::kDegradedSweep;
-      return result;
-    }
-    // Build outside the lock; concurrent builders of the same (catalog,
-    // model) pair may race, in which case the first insertion wins — but
-    // every build is counted (hits + builds + sweeps + degraded ==
-    // queries).
-    counters.index_builds.add(1);
-    FrontierIndex::BuildOptions build_options;
-    build_options.pool = query.options().pool;
-    auto built = std::make_shared<const FrontierIndex>(
-        FrontierIndex::build(space, capacity, catalog, build_options));
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (CachedIndex& cached : indexes_) {
-      if (cached.index->matches(space, capacity, catalog)) {
-        cached.last_used = ++use_tick_;
-        index = cached.index;
-        break;
-      }
-    }
-    if (!index) {
-      const std::size_t bytes = built->memory_bytes();
-      indexes_.push_back({built, bytes, ++use_tick_});
-      cache_bytes_ += bytes;
-      index = std::move(built);
-      // LRU eviction keeps the cache under the byte bound. The entry just
-      // inserted is the most recently used, so it survives even when it
-      // alone exceeds the bound (an engine must always be able to serve
-      // its newest catalog).
-      evict_lru_locked();
-    }
+    // A failed build rethrows its exception here, in every waiter.
+    if (!index) index = in_flight.get();
+    return index->query(query);
   }
 
+  if (!promise) {
+    // No cached index and no budget to build one: a fresh sweep, or a
+    // truncated one when even that no longer fits.
+    if (!sweep_fits) return truncated_sweep();
+    counters.degraded.add(1);
+    SweepResult result = sweep(space, capacity, catalog, sweep_query);
+    result.route = QueryRoute::kDegradedSweep;
+    return result;
+  }
+
+  counters.index_builds.add(1);
+  try {
+    FrontierIndex::BuildOptions build_options;
+    build_options.pool = query.options().pool;
+    index = std::make_shared<const FrontierIndex>(
+        FrontierIndex::build(space, capacity, catalog, build_options));
+  } catch (...) {
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      pending_.erase(mine);
+    }
+    promise->set_exception(std::current_exception());
+    throw;
+  }
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    pending_.erase(mine);
+    // Cache the index only while a registered name serves its catalog: a
+    // replace that landed mid-build retired it, and nothing could reach
+    // or free the entry.
+    if (served_locked(catalog.fingerprint())) indexes_.push_back(index);
+  }
+  promise->set_value(index);
   return index->query(query);
 }
 

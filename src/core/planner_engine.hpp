@@ -15,11 +15,18 @@
 //     sweep()'s IndexPolicy also routes by) are answered from a cached
 //     FrontierIndex keyed by (catalog fingerprint, capacity) — the
 //     library's only index cache. The first query against a (catalog,
-//     model) pair builds the index once — outside the lock, first
-//     insertion wins — and every later query hits the cache, whatever
-//     other catalogs were queried in between.
+//     model) pair builds the index, outside the lock and at most once:
+//     racing first queries wait for that one build. Every later query
+//     hits the cache, whatever other catalogs were queried in between.
 //   * Ineligible queries (risk-aware, sampled or multi-dimensional) run
 //     the full sweep at the catalog's prices.
+//
+// ONE CACHE LIFECYCLE: an index is cached while a registered name serves
+// its catalog. Replacing a name's snapshot reprices the old snapshot's
+// cached indexes when only prices moved and evicts them otherwise (the
+// next query rebuilds); the old entries go once no other name serves the
+// old snapshot. A reprice runs outside the lock, so plan() never waits
+// for one.
 //
 // DEGRADED OPERATION (control-plane resilience): a PlanBudget bounds how
 // much simulated work one query may spend. The engine walks a fixed
@@ -28,20 +35,20 @@
 // kDegradedSweep) → best-effort sweep of a TRUNCATED configuration space
 // (route kTruncatedSweep) when even a sweep no longer fits. The route is
 // always visible in SweepResult::route and
-// celia_planner_engine_degraded_total. The index cache can additionally
-// be capped (PlannerEngineOptions::max_index_cache_bytes) with LRU
-// eviction, so a long-lived engine serving many catalogs degrades to
-// rebuild-churn instead of growing without bound.
+// celia_planner_engine_degraded_total.
 //
 // Observability: celia_planner_engine_queries_total counts every plan()
-// call, _index_hits_total the ones answered from an already-cached index,
-// _index_builds_total the cache misses that built one, _sweeps_total the
-// ineligible queries that swept, and _degraded_total the queries pushed
-// down the ladder by a budget (also counted per route in _sweeps_total's
-// siblings). hits + builds + sweeps + degraded == queries.
+// call, _index_hits_total the ones answered from an already-cached index
+// or from a build another query had in flight, _index_builds_total the
+// cache misses that built one, _sweeps_total the ineligible queries that
+// swept, and _degraded_total the queries pushed down the ladder by a
+// budget (also counted per route in _sweeps_total's siblings).
+// hits + builds + sweeps + degraded == queries.
 
 #include <cstdint>
 #include <functional>
+#include <future>
+#include <list>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -59,19 +66,16 @@
 
 namespace celia::core {
 
-/// Engine-wide resource policy. The defaults reproduce the legacy engine
-/// exactly (unbounded cache, nothing evicted).
+/// Engine-wide options. The defaults are what production callers use.
 struct PlannerEngineOptions {
-  /// Cap on the summed FrontierIndex::memory_bytes() of cached indexes;
-  /// exceeding it evicts least-recently-used entries (the newest index is
-  /// never evicted by its own insertion). 0 = unlimited (legacy).
-  std::size_t max_index_cache_bytes = 0;
   /// TEST-ONLY failure injection: invoked inside add_catalog(replace)
-  /// after each cached index has been delta-derived, with the number
-  /// derived so far. A throw here (or from the delta itself) must leave
-  /// the engine observably unchanged — catalog map, index cache, bytes
-  /// and counters — which the FrontierDelta failure-injection test pins
-  /// by fingerprint. Production callers leave this empty.
+  /// after each cached index has been repriced, with the number repriced
+  /// so far. A throw here (or from the reprice itself) must leave the
+  /// engine observably unchanged — catalog map, index cache, bytes and
+  /// counters — which the FrontierDelta failure-injection test pins by
+  /// fingerprint. The hook runs outside the engine's lock, so a hook that
+  /// blocks parks the replace without blocking plan(). Production callers
+  /// leave this empty.
   std::function<void(std::size_t)> delta_fault_injection;
 };
 
@@ -104,32 +108,32 @@ class PlannerEngine {
   /// on a null catalog or empty name, and on a duplicate name unless
   /// `replace` is true.
   ///
-  /// A replace classifies the old -> new catalog edit and maintains the
-  /// index cache INCREMENTALLY instead of always evicting and rebuilding:
+  /// A replace keeps the index cache in step with the new snapshot:
   ///
   ///   * price-only (equal structure fingerprints): every cached index of
-  ///     the old snapshot is rescaled in place via FrontierIndex::repriced
-  ///     — no configuration walk (celia_planner_engine_delta_rescale_total);
-  ///   * one type's limit DECREASED, same types and prices: cached indexes
-  ///     are filtered along that single axis via FrontierIndex::with_limit
-  ///     (celia_planner_engine_delta_axis_total);
-  ///   * anything else is structural: cached indexes are dropped and the
-  ///     next query rebuilds (celia_planner_engine_delta_rebuild_total).
+  ///     the old snapshot is repriced via FrontierIndex::repriced — no
+  ///     configuration walk (celia_planner_engine_delta_rescale_total);
+  ///   * anything else: the old snapshot's cached indexes are evicted and
+  ///     the next query rebuilds (celia_planner_engine_delta_rebuild_total).
   ///
-  /// Exactly one of the three counters increments per replace, so
-  /// rescale + axis + rebuild == celia_planner_engine_catalog_replaces_total
-  /// always holds. A delta that refuses (FrontierIndex returns nullopt —
-  /// e.g. price ratios outside the provable band, or with_limit on an
-  /// already-repriced index) silently falls back to eviction for that
-  /// entry; the classification counter records the EDIT, not the per-entry
-  /// outcome. The old snapshot's cached indexes are only dropped when no
-  /// other name still points at the same catalog.
+  /// Exactly one of the two counters increments per replace, so
+  /// rescale + rebuild == celia_planner_engine_catalog_replaces_total
+  /// always holds. An index whose reprice refuses (FrontierIndex returns
+  /// nullopt — e.g. price ratios outside the provable band) is evicted
+  /// instead; the counter records the EDIT, not the per-entry outcome. The
+  /// old snapshot's cached indexes are only dropped when no other name
+  /// still points at the same catalog.
   ///
-  /// STRONG EXCEPTION SAFETY: a replace classifies and delta-derives into
-  /// locals before touching any engine state; the commit (counters,
-  /// snapshot swap, cache edits) is a no-throw tail. If classification or
-  /// a delta derivation throws, the engine — catalogs, cached indexes,
-  /// cache bytes and every counter — is exactly as it was before the call.
+  /// Replaces run one at a time. A replace holds the engine's lock only to
+  /// copy the old snapshot's cached indexes and to commit; it reprices
+  /// between the two, so plan() calls meanwhile answer at the old snapshot
+  /// without waiting.
+  ///
+  /// STRONG EXCEPTION SAFETY: a replace reprices into locals before
+  /// touching any engine state; the commit (counters, snapshot swap, cache
+  /// edits) is a no-throw tail. If a reprice throws, the engine —
+  /// catalogs, cached indexes and every counter — is exactly as it was
+  /// before the call.
   void add_catalog(std::string name,
                    std::shared_ptr<const cloud::Catalog> catalog,
                    bool replace = false);
@@ -147,7 +151,9 @@ class PlannerEngine {
   /// (catalog, model) pairs.
   std::size_t num_cached_indexes() const;
 
-  /// Current summed memory_bytes() of the cached indexes.
+  /// Summed FrontierIndex::memory_bytes() of the cached indexes. A point
+  /// store shared by two cached indexes (an index and its reprice, while
+  /// another name still serves the old snapshot) counts once per index.
   std::size_t cached_index_bytes() const;
 
   /// Route `query` for `capacity` against the named catalog, over the
@@ -169,18 +175,21 @@ class PlannerEngine {
                    const Query& query, const PlanBudget& budget = {});
 
  private:
-  struct CachedIndex {
-    std::shared_ptr<const FrontierIndex> index;  // pinned to its catalog
-    std::size_t bytes = 0;
-    std::uint64_t last_used = 0;  // LRU tick of the latest hit/insert
+  /// A build in flight for one (catalog, model) key; queries that would
+  /// start the same build wait on `index` instead.
+  struct PendingBuild {
+    std::uint64_t catalog_fingerprint = 0;
+    std::vector<int> max_counts;
+    std::vector<double> rates;
+    std::shared_future<std::shared_ptr<const FrontierIndex>> index;
   };
 
   std::shared_ptr<const cloud::Catalog> catalog_locked(
       std::string_view name) const;
 
-  /// Evict least-recently-used cached indexes until the cache fits
-  /// options_.max_index_cache_bytes (mutex_ must be held).
-  void evict_lru_locked();
+  /// True while a registered name serves the catalog with this full
+  /// fingerprint (mutex_ must be held).
+  bool served_locked(std::uint64_t catalog_fingerprint) const;
 
   SweepResult plan_impl(const cloud::Catalog& catalog,
                         const ConfigurationSpace& space,
@@ -188,12 +197,12 @@ class PlannerEngine {
                         const PlanBudget& budget);
 
   PlannerEngineOptions options_;
-  mutable std::mutex mutex_;
+  std::mutex replace_mutex_;  // serializes add_catalog
+  mutable std::mutex mutex_;  // guards everything below
   std::vector<std::pair<std::string, std::shared_ptr<const cloud::Catalog>>>
       catalogs_;
-  std::vector<CachedIndex> indexes_;
-  std::uint64_t use_tick_ = 0;
-  std::size_t cache_bytes_ = 0;
+  std::vector<std::shared_ptr<const FrontierIndex>> indexes_;
+  std::list<PendingBuild> pending_;
 };
 
 }  // namespace celia::core

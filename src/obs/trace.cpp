@@ -174,9 +174,13 @@ std::vector<TraceEvent> trace_snapshot() {
     std::lock_guard<std::mutex> lock(buffer->append_mutex);
     out.insert(out.end(), buffer->events.begin(), buffer->events.end());
   }
+  // A span is appended when it ends, so a child that starts in the same
+  // microsecond as its parent is appended first; on equal start times the
+  // shallower span sorts first.
   std::stable_sort(out.begin(), out.end(),
                    [](const TraceEvent& a, const TraceEvent& b) {
-                     return a.ts_us < b.ts_us;
+                     if (a.ts_us != b.ts_us) return a.ts_us < b.ts_us;
+                     return a.depth < b.depth;
                    });
   return out;
 }

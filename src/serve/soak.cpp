@@ -1,5 +1,6 @@
 #include "serve/soak.hpp"
 
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <future>
@@ -148,7 +149,9 @@ void run_stall_phase(const ChaosSoakOptions& options,
   core::PlannerEngine engine;
   engine.add_catalog("alpha", base);
 
-  auto sim_time = std::make_shared<double>(0.0);
+  // Atomic: the wedged worker reads the clock while this thread advances
+  // it.
+  auto sim_time = std::make_shared<std::atomic<double>>(0.0);
   std::promise<void> gate;
   std::shared_future<void> wedge_until = gate.get_future().share();
 
@@ -157,7 +160,7 @@ void run_stall_phase(const ChaosSoakOptions& options,
   service_options.queue_capacity = 16;
   service_options.shed_watermark = 16;
   service_options.worker_stall_seconds = 5.0;
-  service_options.clock = [sim_time] { return *sim_time; };
+  service_options.clock = [sim_time] { return sim_time->load(); };
   service_options.before_plan_hook = [wedge_until](const PlanRequest& r) {
     if (r.tenant == "wedge") wedge_until.wait();
   };

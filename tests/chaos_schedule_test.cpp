@@ -156,9 +156,7 @@ ChaosTrail run_scenario(std::uint64_t seed) {
   const std::uint64_t provider_seed = mix.next();
 
   // --- shared engine under budget pressure -----------------------------
-  PlannerEngineOptions engine_options;
-  engine_options.max_index_cache_bytes = 1;  // constant eviction churn
-  PlannerEngine engine(engine_options);
+  PlannerEngine engine;
   engine.add_catalog("alpha", alpha());
   engine.add_catalog("beta", beta());
 

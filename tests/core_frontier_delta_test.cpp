@@ -1,5 +1,5 @@
 // Tests for FrontierIndex delta maintenance (core/frontier_index.hpp) and
-// the PlannerEngine's incremental catalog-replace path.
+// the PlannerEngine's catalog-replace path.
 //
 // The contract is EXACTNESS, not approximation: an index maintained
 // through repriced() / with_limit() must equal a from-scratch build of the
@@ -265,7 +265,7 @@ TEST(FrontierDelta, WithLimitMatchesFromScratchBuild) {
   }
 
   // A deep cut (4 -> 1 on axis 1) and a chained second cut: with_limit
-  // rebuilds its point store, so the result is delta-capable again.
+  // builds from scratch, so the result is delta-capable again.
   std::vector<int> deep{3, 1, 2, 3, 3, 2};
   const Catalog deep_catalog = anchor.with_limits("deep", "test", deep);
   const auto deep_delta = index.with_limit(1, 1, deep_catalog);
@@ -294,14 +294,17 @@ TEST(FrontierDelta, WithLimitRefusesOutOfEnvelopeEdits) {
   // Out-of-range axis.
   EXPECT_FALSE(index.with_limit(17, 1, anchor).has_value());
 
-  // A repriced index's store still carries anchor prices; with_limit
-  // requires a pristine index and must refuse.
+  // A repriced index narrows like any other: with_limit builds over `to`
+  // from scratch, so the anchor prices its store carries do not matter.
   const Catalog bumped = anchor.with_price_multiplier("p", "test", 1.05);
   const auto repriced = index.repriced(bumped);
   ASSERT_TRUE(repriced.has_value());
   const Catalog bumped_cut =
       bumped.with_limits("pc", "test", std::vector<int>{2, 4, 2, 3, 3, 2});
-  EXPECT_FALSE(repriced->with_limit(0, 2, bumped_cut).has_value());
+  const auto repriced_cut = repriced->with_limit(0, 2, bumped_cut);
+  ASSERT_TRUE(repriced_cut.has_value());
+  expect_index_equal(*repriced_cut, build_for(bumped_cut),
+                     "cut of a repriced index");
 
   // `to` must differ from the anchor ONLY in the named axis: not in a
   // second limit, not in prices.
@@ -435,13 +438,12 @@ TEST(PlannerEngineDelta, ReplaceClassifiesAndCountsExactly) {
       obs::counter("celia_planner_engine_catalog_replaces_total");
   obs::Counter& rescales =
       obs::counter("celia_planner_engine_delta_rescale_total");
-  obs::Counter& axes = obs::counter("celia_planner_engine_delta_axis_total");
   obs::Counter& rebuilds =
       obs::counter("celia_planner_engine_delta_rebuild_total");
   obs::Counter& builds =
       obs::counter("celia_planner_engine_index_builds_total");
   const auto r0 = replaces.value(), s0 = rescales.value(),
-             a0 = axes.value(), b0 = rebuilds.value();
+             b0 = rebuilds.value();
 
   PlannerEngine engine;
   const auto anchor = std::make_shared<const Catalog>(base_catalog());
@@ -449,21 +451,22 @@ TEST(PlannerEngineDelta, ReplaceClassifiesAndCountsExactly) {
   (void)engine.plan("cat", base_capacity(), probe_query());
   ASSERT_EQ(engine.num_cached_indexes(), 1u);
 
-  // 1. Single-axis limit decrease -> kAxis; the cached index is filtered
-  // in place, so the follow-up plan is a HIT, not a rebuild.
+  // 1. Single-axis limit decrease -> rebuild: the space moved, so the
+  // cached index is evicted and the follow-up plan builds once.
   std::vector<int> limits(anchor->limits().begin(), anchor->limits().end());
   limits[1] -= 1;
   const auto cut = std::make_shared<const Catalog>(
       anchor->with_limits("cut", "test", limits));
   engine.add_catalog("cat", cut, /*replace=*/true);
-  EXPECT_EQ(axes.value() - a0, 1u);
+  EXPECT_EQ(rebuilds.value() - b0, 1u);
+  EXPECT_EQ(engine.num_cached_indexes(), 0u);
   const auto builds_after_cut = builds.value();
   const SweepResult planned_cut =
       engine.plan("cat", base_capacity().rebound(*cut), probe_query());
-  EXPECT_EQ(builds.value(), builds_after_cut)
-      << "axis delta should keep the cache warm";
+  EXPECT_EQ(builds.value() - builds_after_cut, 1u)
+      << "a limit decrease should rebuild on the next plan";
 
-  // 2. Price-only replace -> kRescale; again no rebuild on the next plan.
+  // 2. Price-only replace -> reprice; no rebuild on the next plan.
   const auto repriced = std::make_shared<const Catalog>(
       cut->with_price_multiplier("repriced", "test", 1.06));
   engine.add_catalog("cat", repriced, /*replace=*/true);
@@ -474,21 +477,21 @@ TEST(PlannerEngineDelta, ReplaceClassifiesAndCountsExactly) {
   EXPECT_EQ(builds.value(), builds_after_price)
       << "rescale delta should keep the cache warm";
 
-  // 3. Structural replace (limit increase) -> kRebuild; cache dropped.
+  // 3. Structural replace (limit increase) -> rebuild; cache dropped.
   const auto grown = std::make_shared<const Catalog>(
       repriced->with_limits("grown", "test",
                             std::vector<int>{4, 4, 2, 3, 3, 2}));
   engine.add_catalog("cat", grown, /*replace=*/true);
-  EXPECT_EQ(rebuilds.value() - b0, 1u);
+  EXPECT_EQ(rebuilds.value() - b0, 2u);
   EXPECT_EQ(engine.num_cached_indexes(), 0u);
 
   // The exactness invariant: every replace took exactly one path.
   EXPECT_EQ(replaces.value() - r0, 3u);
-  EXPECT_EQ((rescales.value() - s0) + (axes.value() - a0) +
-                (rebuilds.value() - b0),
+  EXPECT_EQ((rescales.value() - s0) + (rebuilds.value() - b0),
             replaces.value() - r0);
 
-  // Delta-maintained answers must be bit-identical to a fresh engine's.
+  // Rebuilt and repriced answers must be bit-identical to a fresh
+  // engine's.
   PlannerEngine fresh_cut;
   fresh_cut.add_catalog("cat", cut);
   const SweepResult scratch_cut =
@@ -516,7 +519,6 @@ TEST(PlannerEngineDelta, InjectedDeltaFaultLeavesTheEngineUntouched) {
       obs::counter("celia_planner_engine_catalog_replaces_total");
   obs::Counter& rescales =
       obs::counter("celia_planner_engine_delta_rescale_total");
-  obs::Counter& axes = obs::counter("celia_planner_engine_delta_axis_total");
   obs::Counter& rebuilds =
       obs::counter("celia_planner_engine_delta_rebuild_total");
 
@@ -534,11 +536,11 @@ TEST(PlannerEngineDelta, InjectedDeltaFaultLeavesTheEngineUntouched) {
   ASSERT_EQ(engine.num_cached_indexes(), 1u);
   const std::size_t bytes_before = engine.cached_index_bytes();
   const auto r0 = replaces.value(), s0 = rescales.value(),
-             a0 = axes.value(), b0 = rebuilds.value();
+             b0 = rebuilds.value();
 
-  // The hook throws mid-derivation, after classification but before any
-  // commit. Strong exception safety: the throw propagates and the engine
-  // is EXACTLY as it was — snapshot, cache, byte accounting, counters.
+  // The hook throws mid-reprice, before any commit. Strong exception
+  // safety: the throw propagates and the engine is EXACTLY as it was —
+  // snapshot, cache, byte accounting, counters.
   const auto repriced = std::make_shared<const Catalog>(
       anchor->with_price_multiplier("bump", "test", 1.05));
   EXPECT_THROW(engine.add_catalog("cat", repriced, /*replace=*/true),
@@ -549,7 +551,6 @@ TEST(PlannerEngineDelta, InjectedDeltaFaultLeavesTheEngineUntouched) {
   EXPECT_EQ(engine.cached_index_bytes(), bytes_before);
   EXPECT_EQ(replaces.value(), r0);
   EXPECT_EQ(rescales.value(), s0);
-  EXPECT_EQ(axes.value(), a0);
   EXPECT_EQ(rebuilds.value(), b0);
 
   // The warm index still answers bit-identically to the pre-fault plan.
@@ -560,7 +561,7 @@ TEST(PlannerEngineDelta, InjectedDeltaFaultLeavesTheEngineUntouched) {
   EXPECT_EQ(after.min_cost.seconds, before.min_cost.seconds);
   EXPECT_EQ(after.min_cost.cost, before.min_cost.cost);
 
-  // A structural replace takes the rebuild path, which never derives —
+  // A structural replace takes the rebuild path, which never reprices —
   // the hook is not reached and the engine is not wedged by the earlier
   // fault.
   const auto grown = std::make_shared<const Catalog>(
@@ -651,6 +652,25 @@ TEST(PlannerEngineDelta, OutOfBandPriceReplaceFallsBackToEviction) {
       fresh.plan("cat", base_capacity().rebound(*doubled), probe_query());
   EXPECT_EQ(planned.min_cost.cost, scratch.min_cost.cost);
   EXPECT_EQ(planned.feasible, scratch.feasible);
+}
+
+TEST(PlannerEngineDelta, CachedBytesCountTheStoreARepricedIndexKeeps) {
+  PlannerEngine engine;
+  const auto anchor = std::make_shared<const Catalog>(base_catalog());
+  engine.add_catalog("cat", anchor);
+  (void)engine.plan("cat", base_capacity(), probe_query());
+  ASSERT_EQ(engine.num_cached_indexes(), 1u);
+  const std::size_t before = engine.cached_index_bytes();
+
+  // The reprice replaces the anchor in the cache but keeps its point store
+  // alive, so the count must still include the store.
+  const auto ticked = std::make_shared<const Catalog>(
+      anchor->with_price_multiplier("tick", "test", 1.03));
+  engine.add_catalog("cat", ticked, /*replace=*/true);
+  ASSERT_EQ(engine.num_cached_indexes(), 1u);
+  const std::size_t after = engine.cached_index_bytes();
+  EXPECT_NEAR(static_cast<double>(after), static_cast<double>(before),
+              0.01 * static_cast<double>(before));
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
-// Tests for the PlannerEngine degradation ladder (PlanBudget) and the
-// memory-bounded LRU index cache: cached index → build → fresh sweep
-// (kDegradedSweep) → truncated sweep (kTruncatedSweep), with the route
-// always observable in SweepResult::route and the engine counters exact.
+// Tests for the PlannerEngine degradation ladder (PlanBudget): cached
+// index → build → fresh sweep (kDegradedSweep) → truncated sweep
+// (kTruncatedSweep), with the route always observable in
+// SweepResult::route and the engine counters exact.
 
 #include <gtest/gtest.h>
 
@@ -31,12 +31,6 @@ std::shared_ptr<const Catalog> alpha() {
                                                 table3.types().begin() + 6},
         std::vector<int>{3, 3, 3, 3, 3, 3});
   }();
-  return catalog;
-}
-
-std::shared_ptr<const Catalog> beta() {
-  static const auto catalog = std::make_shared<const Catalog>(
-      alpha()->with_price_multiplier("beta", "test-2", 1.4));
   return catalog;
 }
 
@@ -275,72 +269,6 @@ TEST(PlannerDegraded, NearZeroBudgetIsDeterministicAndNeverBuilds) {
     EXPECT_EQ(builds.value() - b0, 0u);
     EXPECT_EQ(truncated.value() - t0, 4u);
   }
-}
-
-TEST(PlannerDegraded, LruEvictionKeepsTheCacheUnderTheByteBound) {
-  // First find the real per-index footprint, then bound a second engine
-  // just below two of them: caching beta must evict alpha (LRU), and the
-  // byte accounting must stay exact.
-  std::size_t one_index_bytes = 0;
-  {
-    PlannerEngine probe;
-    probe.add_catalog("alpha", alpha());
-    (void)probe.plan("alpha", small_capacity(), small_query(1.0));
-    one_index_bytes = probe.cached_index_bytes();
-    ASSERT_GT(one_index_bytes, 0u);
-  }
-
-  PlannerEngineOptions options;
-  options.max_index_cache_bytes = 2 * one_index_bytes - 1;
-  PlannerEngine engine(options);
-  engine.add_catalog("alpha", alpha());
-  engine.add_catalog("beta", beta());
-  obs::Counter& evictions =
-      obs::counter("celia_planner_engine_index_evictions_total");
-  obs::Counter& builds =
-      obs::counter("celia_planner_engine_index_builds_total");
-  obs::Counter& hits = obs::counter("celia_planner_engine_index_hits_total");
-  const auto e0 = evictions.value(), b0 = builds.value(), h0 = hits.value();
-
-  (void)engine.plan("alpha", small_capacity(), small_query(1.0));
-  EXPECT_EQ(engine.num_cached_indexes(), 1u);
-  EXPECT_EQ(evictions.value() - e0, 0u);
-
-  // beta's index pushes the cache over the bound: alpha is evicted.
-  (void)engine.plan("beta", small_capacity(), small_query(1.0));
-  EXPECT_EQ(engine.num_cached_indexes(), 1u);
-  EXPECT_EQ(evictions.value() - e0, 1u);
-  EXPECT_LE(engine.cached_index_bytes(), options.max_index_cache_bytes);
-
-  // beta is the cached survivor; re-planning alpha rebuilds its index,
-  // which in turn evicts beta — recency, not insertion order, decides.
-  const auto h_before = hits.value();
-  (void)engine.plan("beta", small_capacity(), small_query(0.5));  // hit
-  EXPECT_EQ(hits.value() - h_before, 1u);
-  (void)engine.plan("alpha", small_capacity(), small_query(1.0));  // rebuild
-  EXPECT_EQ(evictions.value() - e0, 2u);
-  EXPECT_EQ(engine.num_cached_indexes(), 1u);
-  // The survivor is alpha: planning it again is a pure cache hit.
-  const auto h1 = hits.value();
-  (void)engine.plan("alpha", small_capacity(), small_query(2.0));
-  EXPECT_EQ(hits.value() - h1, 1u);
-  EXPECT_EQ(builds.value() - b0, 3u);  // alpha, beta, alpha-again
-  EXPECT_GE(hits.value() - h0, 2u);
-}
-
-TEST(PlannerDegraded, SingleOversizedIndexIsNeverSelfEvicted) {
-  PlannerEngineOptions options;
-  options.max_index_cache_bytes = 1;  // absurdly small
-  PlannerEngine engine(options);
-  engine.add_catalog("alpha", alpha());
-  obs::Counter& hits = obs::counter("celia_planner_engine_index_hits_total");
-  (void)engine.plan("alpha", small_capacity(), small_query(1.0));
-  // The only cached index exceeds the bound by itself, but evicting it
-  // would make the engine useless for its own catalog: it survives.
-  EXPECT_EQ(engine.num_cached_indexes(), 1u);
-  const auto h0 = hits.value();
-  (void)engine.plan("alpha", small_capacity(), small_query(0.5));
-  EXPECT_EQ(hits.value() - h0, 1u);
 }
 
 }  // namespace

@@ -12,6 +12,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <future>
 #include <memory>
 #include <string>
 #include <thread>
@@ -23,6 +25,7 @@
 #include "core/planner_engine.hpp"
 #include "core/serialize.hpp"
 #include "obs/metrics.hpp"
+#include "parallel/thread_pool.hpp"
 
 namespace {
 
@@ -305,8 +308,8 @@ TEST(PlannerEngineConcurrent, InterleavedQueriesAcrossTwoCatalogsAreExact) {
 
 TEST(PlannerEngineConcurrent, RacingFirstQueriesBuildEachIndexOnce) {
   // No warm-up: many threads race the FIRST query against both catalogs.
-  // Builds may race (each is counted), but the cache must converge to one
-  // index per catalog and hits + builds must equal queries exactly.
+  // Each catalog is built exactly once; the racers that lose wait for
+  // that build and count as hits, so hits + builds == queries exactly.
   PlannerEngine engine;
   engine.add_catalog("alpha", alpha());
   engine.add_catalog("beta", beta());
@@ -334,9 +337,91 @@ TEST(PlannerEngineConcurrent, RacingFirstQueriesBuildEachIndexOnce) {
   EXPECT_EQ(sweeps.value() - s0, 0u);
   EXPECT_EQ((hits.value() - h0) + (builds.value() - b0),
             static_cast<std::uint64_t>(kThreads));
-  EXPECT_GE(builds.value() - b0, 2u);  // at least one build per catalog
-  // First insertion won; racing duplicates were discarded.
+  EXPECT_EQ(builds.value() - b0, 2u);  // one build per catalog
   EXPECT_EQ(engine.num_cached_indexes(), 2u);
+}
+
+TEST(PlannerEngineConcurrent, ReadsDoNotWaitForAReprice) {
+  // A price-only replace parks inside its reprice (the fault-injection
+  // hook blocks there). A read on the same name must not wait for it: it
+  // answers at once, at the pre-replace snapshot.
+  std::promise<void> parked;
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  PlannerEngineOptions options;
+  options.delta_fault_injection = [&parked, released](std::size_t) {
+    parked.set_value();
+    released.wait();
+  };
+  PlannerEngine engine(options);
+  engine.add_catalog("live", beta());
+  const SweepResult before =
+      engine.plan("live", small_capacity(), small_query(1.0));
+  ASSERT_EQ(engine.num_cached_indexes(), 1u);
+
+  std::thread replace(
+      [&] { engine.add_catalog("live", alpha(), /*replace=*/true); });
+  parked.get_future().wait();
+  std::future<SweepResult> read = std::async(std::launch::async, [&] {
+    return engine.plan("live", small_capacity(), small_query(1.0));
+  });
+  const bool answered = read.wait_for(std::chrono::seconds(10)) ==
+                        std::future_status::ready;
+  release.set_value();
+  replace.join();
+
+  EXPECT_TRUE(answered) << "plan() waited for a reprice";
+  const SweepResult during = read.get();
+  EXPECT_EQ(during.feasible, before.feasible);
+  EXPECT_EQ(during.min_cost.config_index, before.min_cost.config_index);
+  EXPECT_EQ(during.min_cost.cost, before.min_cost.cost);
+  // The replace then committed its repriced index.
+  EXPECT_EQ(engine.catalog("live")->fingerprint(), alpha()->fingerprint());
+  EXPECT_EQ(engine.num_cached_indexes(), 1u);
+}
+
+TEST(PlannerEngineConcurrent, BuildForARetiredCatalogIsNotCached) {
+  // The first query's build is in flight when a replace retires its
+  // catalog. The build still answers that query, but no name serves its
+  // catalog any more, so nothing could reach the index: it is not cached.
+  celia::parallel::ThreadPool pool(1);
+  std::promise<void> parked;
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  std::future<void> worker = pool.submit([&parked, released] {
+    parked.set_value();
+    released.wait();
+  });
+  parked.get_future().wait();
+
+  obs::Counter& frontier_builds = obs::counter("celia_frontier_builds_total");
+  const auto f0 = frontier_builds.value();
+  PlannerEngine engine;
+  engine.add_catalog("live", beta());
+  std::future<SweepResult> read = std::async(std::launch::async, [&] {
+    Constraints constraints;
+    constraints.deadline_seconds = 3600.0;
+    SweepOptions options;
+    options.collect_pareto = false;
+    options.pool = &pool;
+    return engine.plan("live", small_capacity(),
+                       Query::make(1e13, constraints, options));
+  });
+  // The build counts itself before its passes reach the parked worker.
+  const auto give_up = std::chrono::steady_clock::now() +
+                       std::chrono::seconds(30);
+  while (frontier_builds.value() == f0 &&
+         std::chrono::steady_clock::now() < give_up)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  EXPECT_NE(frontier_builds.value(), f0) << "the build never started";
+
+  engine.add_catalog("live", alpha(), /*replace=*/true);
+  release.set_value();
+  worker.get();
+  const SweepResult answered = read.get();
+  EXPECT_EQ(answered.route, QueryRoute::kIndex);
+  EXPECT_TRUE(answered.any_feasible);
+  EXPECT_EQ(engine.num_cached_indexes(), 0u);
 }
 
 }  // namespace

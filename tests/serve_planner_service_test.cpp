@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <future>
 #include <memory>
 #include <string>
@@ -60,12 +61,14 @@ Query small_query(double demand = 1e13) {
   return Query::make(demand, constraints, options);
 }
 
-/// A simulated clock the test advances by hand.
+/// A simulated clock the test advances by hand. Atomic: a service worker
+/// may read it while the test advances it.
 struct SimClock {
-  std::shared_ptr<double> time = std::make_shared<double>(0.0);
+  std::shared_ptr<std::atomic<double>> time =
+      std::make_shared<std::atomic<double>>(0.0);
   std::function<double()> fn() const {
     auto t = time;
-    return [t] { return *t; };
+    return [t] { return t->load(); };
   }
   void advance(double seconds) { *time += seconds; }
 };
